@@ -19,7 +19,7 @@ namespace {
 struct Delivery {
   const NotificationCallback* callback = nullptr;
   SubscriptionId subscription = 0;
-  std::size_t event_index = 0;  // into the batch; 0 for single publish
+  std::size_t event_index = 0;  // into the published span
 };
 
 /// Thread-local delivery scratch, moved out while in use so re-entrant
@@ -41,34 +41,13 @@ void return_delivery_scratch(std::vector<Delivery>&& buffer) {
   delivery_scratch_slot() = std::move(buffer);
 }
 
-/// Redelivery token of the notification currently being delivered on this
-/// thread (0 = none). The tokened publish paths set it around each callback
-/// invocation so composite_ingest — reached through an internal leaf
-/// subscription's callback — can tag its ingress stimulus without widening
-/// the Notification structure on the untokened hot path.
-thread_local std::uint64_t current_dedup_token = 0;
-
-class TokenGuard {
- public:
-  explicit TokenGuard(std::uint64_t token) noexcept
-      : saved_(current_dedup_token) {
-    current_dedup_token = token;
-  }
-  ~TokenGuard() { current_dedup_token = saved_; }
-  TokenGuard(const TokenGuard&) = delete;
-  TokenGuard& operator=(const TokenGuard&) = delete;
-
- private:
-  std::uint64_t saved_;
-};
-
-}  // namespace
-
-namespace {
-
 std::uint64_t next_broker_id() {
   static std::atomic<std::uint64_t> counter{1};
   return counter.fetch_add(1, std::memory_order_relaxed);
+}
+
+PublishResult single_result(const BatchPublishResult& batch) {
+  return PublishResult{batch.notified, batch.operations, batch.rebuilt};
 }
 
 }  // namespace
@@ -144,46 +123,6 @@ SubscriptionId Broker::subscribe(Profile profile,
 SubscriptionId Broker::subscribe(std::string_view expression,
                                  NotificationCallback callback) {
   return subscribe(parse_profile(schema_, expression), std::move(callback));
-}
-
-void Broker::set_delivery_sink(NotificationCallback sink) {
-  const std::scoped_lock lock(mutex_);
-  if (default_sink_id_ != 0) {
-    std::erase_if(sinks_, [this](const SinkEntry& entry) {
-      return entry.id == default_sink_id_;
-    });
-    default_sink_id_ = 0;
-  }
-  if (sink != nullptr) {
-    default_sink_id_ = next_sink_id_++;
-    sinks_.push_back(
-        SinkEntry{default_sink_id_, std::make_shared<const NotificationCallback>(
-                                        std::move(sink))});
-  }
-  version_.fetch_add(1, std::memory_order_release);
-}
-
-SinkId Broker::add_delivery_sink(NotificationCallback sink) {
-  GENAS_REQUIRE(sink != nullptr, ErrorCode::kInvalidArgument,
-                "delivery sink requires a callable");
-  const std::scoped_lock lock(mutex_);
-  const SinkId id = next_sink_id_++;
-  sinks_.push_back(SinkEntry{
-      id, std::make_shared<const NotificationCallback>(std::move(sink))});
-  version_.fetch_add(1, std::memory_order_release);
-  return id;
-}
-
-void Broker::remove_delivery_sink(SinkId id) {
-  const std::scoped_lock lock(mutex_);
-  const auto it =
-      std::find_if(sinks_.begin(), sinks_.end(),
-                   [id](const SinkEntry& entry) { return entry.id == id; });
-  GENAS_REQUIRE(it != sinks_.end(), ErrorCode::kNotFound,
-                "unknown delivery sink " + std::to_string(id));
-  sinks_.erase(it);
-  if (id == default_sink_id_) default_sink_id_ = 0;
-  version_.fetch_add(1, std::memory_order_release);
 }
 
 DrainHookId Broker::add_drain_hook(DrainHook hook) {
@@ -289,7 +228,8 @@ CompositeId Broker::subscribe_composite(CompositeExprPtr expression,
             sid,
             Subscription{pid, std::make_shared<const NotificationCallback>(
                                   [this, pid](const Notification& n) {
-                                    composite_ingest(pid, n.event.time());
+                                    composite_ingest(pid, n.event.time(),
+                                                     n.dedup_token);
                                   })});
         by_profile_.emplace(pid, sid);
         ++internal_subscriptions_;
@@ -409,11 +349,12 @@ void Broker::advance_watermark(Timestamp now) {
   dispatch_composite_firings(lock);
 }
 
-void Broker::composite_ingest(ProfileId profile, Timestamp time) {
+void Broker::composite_ingest(ProfileId profile, Timestamp time,
+                              std::uint64_t dedup_token) {
   static thread_local std::uint32_t trace_countdown = 0;
   const bool traced = trace_.sample(trace_countdown);
   std::unique_lock<std::mutex> lock(composite_mutex_);
-  if (!composite_ingress_.push(profile, time, current_dedup_token)) {
+  if (!composite_ingress_.push(profile, time, dedup_token)) {
     composite_dedup_drops_.add(1);
     return;  // redelivered stimulus dropped by the dedup window
   }
@@ -538,10 +479,6 @@ std::shared_ptr<const Broker::Snapshot> Broker::acquire_snapshot(
       fresh->routes[profile] =
           Route{subscription, subscriptions_.at(subscription).callback};
     }
-    fresh->sinks.reserve(sinks_.size());
-    for (const SinkEntry& entry : sinks_) {
-      fresh->sinks.push_back(entry.callback);
-    }
     fresh->drain_hooks.reserve(drain_hooks_.size());
     for (const DrainHookEntry& entry : drain_hooks_) {
       fresh->drain_hooks.push_back(entry.hook);
@@ -556,52 +493,7 @@ std::shared_ptr<const Broker::Snapshot> Broker::acquire_snapshot(
 }
 
 PublishResult Broker::publish(const Event& event) {
-  GENAS_REQUIRE(event.schema() == schema_, ErrorCode::kInvalidArgument,
-                "event schema differs from broker schema");
-  if (engine_.adaptive_enabled()) {
-    // Matching mutates the drift estimator, so route through the serialized
-    // batch pipeline (one lock, thread-local scratch, drain outside).
-    const BatchPublishResult batch = publish_batch({&event, 1});
-    return PublishResult{batch.notified, batch.operations, batch.rebuilt};
-  }
-
-  // Sampled event-path trace: every Nth publish per thread stamps t0 and
-  // records publish->match and publish->deliver latency.
-  static thread_local std::uint32_t trace_countdown = 0;
-  const bool traced = trace_.sample(trace_countdown);
-  const std::uint64_t trace_start = traced ? obs::now_ns() : 0;
-
-  PublishResult result;
-  const std::shared_ptr<const Snapshot> snapshot =
-      acquire_snapshot(&result.rebuilt);
-  const FlatMatch match = snapshot->match->flat->match(event);
-  result.operations = match.operations;
-  if (traced) match_latency_.observe(obs::now_ns() - trace_start);
-
-  events_published_.add(1);
-  operations_.add(match.operations);
-  if (match.matched_count > 0) {
-    events_matched_.add(1);
-  }
-
-  std::vector<Delivery> deliveries = take_delivery_scratch();
-  for (const ProfileId profile : match.span()) {
-    const Route& route = snapshot->routes[profile];
-    if (route.callback == nullptr) continue;  // racing unsubscribe
-    deliveries.push_back(Delivery{route.callback.get(), route.subscription});
-  }
-  result.notified = deliveries.size();
-  notifications_.add(deliveries.size());
-
-  for (const Delivery& delivery : deliveries) {
-    const Notification notification{delivery.subscription, event};
-    (*delivery.callback)(notification);
-    for (const auto& sink : snapshot->sinks) (*sink)(notification);
-  }
-  return_delivery_scratch(std::move(deliveries));
-  for (const auto& hook : snapshot->drain_hooks) (*hook)();
-  if (traced) delivery_latency_.observe(obs::now_ns() - trace_start);
-  return result;
+  return single_result(publish_batch_impl({&event, 1}, {}));
 }
 
 PublishResult Broker::publish(std::string_view event_text, Timestamp time) {
@@ -609,10 +501,7 @@ PublishResult Broker::publish(std::string_view event_text, Timestamp time) {
 }
 
 PublishResult Broker::publish(const Event& event, std::uint64_t dedup_token) {
-  if (dedup_token == 0) return publish(event);
-  const BatchPublishResult batch =
-      publish_batch_impl({&event, 1}, {&dedup_token, 1});
-  return PublishResult{batch.notified, batch.operations, batch.rebuilt};
+  return single_result(publish_batch_impl({&event, 1}, {&dedup_token, 1}));
 }
 
 BatchPublishResult Broker::publish_batch(std::span<const Event> events) {
@@ -639,85 +528,60 @@ BatchPublishResult Broker::publish_batch_impl(
                   "event schema differs from broker schema");
   }
 
-  // One trace decision per batch: a sampled batch times the whole
-  // match-then-drain pipeline (stage latencies are per batch, not per
-  // event — the batch is the unit the caller waits on).
+  // One trace decision per call: a sampled call times the whole
+  // match-then-drain pipeline (stage latencies are per call, not per
+  // event — the call is the unit the caller waits on).
   static thread_local std::uint32_t trace_countdown = 0;
   const bool traced = trace_.sample(trace_countdown);
   const std::uint64_t trace_start = traced ? obs::now_ns() : 0;
 
-  std::vector<Delivery> deliveries = take_delivery_scratch();
-
-  // Keeps callback objects alive across the drain even if a re-entrant
-  // unsubscribe from a callback erases their table entries mid-pass.
-  std::vector<std::shared_ptr<const NotificationCallback>> keepalive;
-
   // Held at function scope: the drain below dereferences raw pointers into
   // the snapshot's route table, and a re-entrant publish from a callback
   // would otherwise replace the only other owner (the thread-local cache).
-  std::shared_ptr<const Snapshot> snapshot;
+  const std::shared_ptr<const Snapshot> snapshot =
+      acquire_snapshot(&result.rebuilt);
+  const std::vector<Route>& routes = snapshot->routes;
 
-  std::vector<std::shared_ptr<const NotificationCallback>> sink_storage;
-  const std::vector<std::shared_ptr<const NotificationCallback>>* sinks =
-      &sink_storage;
-
-  std::vector<std::shared_ptr<const DrainHook>> hook_storage;
-  const std::vector<std::shared_ptr<const DrainHook>>* drain_hooks =
-      &hook_storage;
-
-  if (engine_.adaptive_enabled()) {
-    // Serialized matching (the adaptive estimator mutates per event), but
-    // one lock acquisition for the whole batch and one drain pass after.
-    // CSR scratch lives in thread-local storage (same move-out idiom as the
-    // delivery buffer) so steady-state batches allocate nothing here.
-    static thread_local std::vector<ProfileId> matched_scratch;
-    static thread_local std::vector<std::size_t> offsets_scratch;
-    std::vector<ProfileId> matched = std::move(matched_scratch);
-    std::vector<std::size_t> offsets = std::move(offsets_scratch);
-    {
-      const std::scoped_lock lock(mutex_);
-      sink_storage.reserve(sinks_.size());
-      for (const SinkEntry& entry : sinks_) {
-        sink_storage.push_back(entry.callback);
-      }
-      hook_storage.reserve(drain_hooks_.size());
-      for (const DrainHookEntry& entry : drain_hooks_) {
-        hook_storage.push_back(entry.hook);
-      }
-      const EngineBatchMatch outcome =
-          engine_.match_batch(events, matched, offsets);
-      result.operations = outcome.operations;
-      result.matched_events = outcome.matched_events;
-      result.rebuilt = outcome.rebuilt;
-      if (outcome.rebuilt) adaptive_rebuilds_.add(1);
-      for (std::size_t i = 0; i < events.size(); ++i) {
-        for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-          const auto sub_it = by_profile_.find(matched[k]);
-          if (sub_it == by_profile_.end()) continue;
-          keepalive.push_back(subscriptions_.at(sub_it->second).callback);
-          deliveries.push_back(
-              Delivery{keepalive.back().get(), sub_it->second, i});
-        }
-      }
+  // Adaptive matching mutates the drift estimator, so the whole call is
+  // matched serialized under mutex_ into CSR scratch (no user code runs
+  // before the scratch is consumed, so it needs no re-entrancy care).
+  // Static matching walks the snapshot's flat tree lock-free, per event.
+  const bool adaptive = engine_.adaptive_enabled();
+  static thread_local std::vector<ProfileId> matched;
+  static thread_local std::vector<std::size_t> offsets;
+  if (adaptive) {
+    const std::scoped_lock lock(mutex_);
+    const EngineBatchMatch outcome =
+        engine_.match_batch(events, matched, offsets);
+    result.operations = outcome.operations;
+    result.matched_events = outcome.matched_events;
+    if (outcome.rebuilt) {
+      result.rebuilt = true;
+      adaptive_rebuilds_.add(1);
     }
-    matched.clear();
-    offsets.clear();
-    matched_scratch = std::move(matched);
-    offsets_scratch = std::move(offsets);
-  } else {
-    snapshot = acquire_snapshot(&result.rebuilt);
-    sinks = &snapshot->sinks;
-    drain_hooks = &snapshot->drain_hooks;
-    for (std::size_t i = 0; i < events.size(); ++i) {
+  }
+
+  std::vector<Delivery> deliveries = take_delivery_scratch();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    std::span<const ProfileId> profiles;
+    if (adaptive) {
+      profiles = std::span<const ProfileId>(matched).subspan(
+          offsets[i], offsets[i + 1] - offsets[i]);
+    } else {
       const FlatMatch match = snapshot->match->flat->match(events[i]);
       result.operations += match.operations;
       if (match.matched_count > 0) ++result.matched_events;
-      for (const ProfileId profile : match.span()) {
-        const Route& route = snapshot->routes[profile];
-        if (route.callback == nullptr) continue;  // racing unsubscribe
-        deliveries.push_back(
-            Delivery{route.callback.get(), route.subscription, i});
-      }
+      profiles = match.span();
+    }
+    for (const ProfileId profile : profiles) {
+      // A subscribe that raced in between snapshot and an adaptive match
+      // may yield an id past the table: like a racing unsubscribe (null
+      // callback), this publish misses it.
+      if (profile >= routes.size()) continue;
+      const Route& route = routes[profile];
+      if (route.callback == nullptr) continue;
+      deliveries.push_back(
+          Delivery{route.callback.get(), route.subscription, i});
     }
   }
 
@@ -729,26 +593,14 @@ BatchPublishResult Broker::publish_batch_impl(
   result.notified = deliveries.size();
 
   // Drain every notification in one pass, outside any lock.
-  if (dedup_tokens.empty()) {
-    for (const Delivery& delivery : deliveries) {
-      const Notification notification{delivery.subscription,
-                                      events[delivery.event_index]};
-      (*delivery.callback)(notification);
-      for (const auto& sink : *sinks) (*sink)(notification);
-    }
-  } else {
-    for (const Delivery& delivery : deliveries) {
-      const Notification notification{delivery.subscription,
-                                      events[delivery.event_index]};
-      // The event's token is visible to composite_ingest (and any
-      // re-entrant publish) for exactly this notification's callbacks.
-      const TokenGuard guard(dedup_tokens[delivery.event_index]);
-      (*delivery.callback)(notification);
-      for (const auto& sink : *sinks) (*sink)(notification);
-    }
+  for (const Delivery& delivery : deliveries) {
+    const std::size_t i = delivery.event_index;
+    (*delivery.callback)(Notification{
+        delivery.subscription, events[i],
+        dedup_tokens.empty() ? 0 : dedup_tokens[i]});
   }
   return_delivery_scratch(std::move(deliveries));
-  for (const auto& hook : *drain_hooks) (*hook)();
+  for (const auto& hook : snapshot->drain_hooks) (*hook)();
   if (traced) delivery_latency_.observe(obs::now_ns() - trace_start);
   return result;
 }

@@ -25,9 +25,12 @@
 //     deliver one final notification to a subscription whose unsubscribe()
 //     already returned. Deliveries are never lost or duplicated for
 //     subscriptions that are stable across the publish.
-//   * When the engine's adaptive loop is enabled, matching itself mutates
-//     the drift estimator, so publish falls back to serializing matches
-//     behind the mutex (delivery still happens outside it).
+//   * Every publish overload runs one body (publish_batch_impl): match,
+//     turn matches into deliveries through the snapshot's route table,
+//     drain the callbacks, then run the drain hooks. When the engine's
+//     adaptive loop is enabled, matching itself mutates the drift
+//     estimator, so only the match step is serialized behind the mutex;
+//     routing and delivery are the same as the static path's.
 #pragma once
 
 #include <atomic>
@@ -51,9 +54,6 @@ namespace genas {
 /// Handle of one subscription.
 using SubscriptionId = std::uint64_t;
 
-/// Handle of one broker-wide delivery sink.
-using SinkId = std::uint64_t;
-
 /// Handle of one drain hook (see Broker::add_drain_hook).
 using DrainHookId = std::uint64_t;
 
@@ -65,6 +65,9 @@ using DrainHook = std::function<void()>;
 struct Notification {
   SubscriptionId subscription = 0;
   Event event;
+  /// Redelivery token the event was published with (0 = untracked); see
+  /// publish(event, dedup_token).
+  std::uint64_t dedup_token = 0;
 };
 
 using NotificationCallback = std::function<void(const Notification&)>;
@@ -103,7 +106,8 @@ class Broker {
 
   void unsubscribe(SubscriptionId id);
 
-  /// Filters and delivers one event (lock-free unless adaptive).
+  /// Filters and delivers one event (lock-free unless adaptive); a batch of
+  /// one through the publish_batch body.
   PublishResult publish(const Event& event);
   /// Parses "a=1; b=2" and publishes.
   PublishResult publish(std::string_view event_text, Timestamp time = 0);
@@ -114,7 +118,8 @@ class Broker {
   /// duplicate (at-least-once semantics, counted by the caller), but the
   /// composite runtime dedups stimuli per (token, leaf) within the window
   /// set by set_composite_dedup_window(), so a redelivered event never
-  /// double-arms or double-fires a composite. Token 0 == plain publish().
+  /// double-arms or double-fires a composite. The token reaches the
+  /// callbacks as Notification::dedup_token. Token 0 == plain publish().
   PublishResult publish(const Event& event, std::uint64_t dedup_token);
 
   /// Filters and delivers a batch against one snapshot acquisition:
@@ -137,7 +142,7 @@ class Broker {
   // snapshot/FilterEngine path as an internal primitive subscription whose
   // deliveries drive a broker-internal CompositeDetector — the lock-free
   // publish hot path is untouched, and a composite coexists with plain
-  // subscriptions and delivery sinks. Leaf registration is refcounted and
+  // subscriptions and drain hooks. Leaf registration is refcounted and
   // keyed by profile equality (canonical_profile_key): equal leaf profiles
   // — across composites, or duplicated within one expression — share one
   // engine registration and one ingress stimulus per matching event; the
@@ -191,32 +196,12 @@ class Broker {
   /// Stimuli the composite redelivery filter has dropped.
   std::uint64_t composite_duplicates_dropped() const;
 
-  /// Installs (or, with nullptr, clears) the broker's *default* delivery
-  /// sink: an observer invoked for every delivered notification, after the
-  /// owning subscription's callback, outside all locks, on the publishing
-  /// thread. External transports tap the full delivery stream this way —
-  /// the mesh runtime counts per-node deliveries without wrapping each
-  /// callback — and like callbacks, a sink may re-enter the broker.
-  ///
-  /// Swap semantics are explicit: set_delivery_sink replaces only the sink
-  /// a previous set_delivery_sink call installed. Sinks installed through
-  /// add_delivery_sink are independent and are never clobbered by it.
-  void set_delivery_sink(NotificationCallback sink);
-
-  /// Installs an additional delivery sink and returns its handle. All
-  /// installed sinks observe every delivery, in installation order (the
-  /// set_delivery_sink slot counts as one of them).
-  SinkId add_delivery_sink(NotificationCallback sink);
-  /// Removes a sink installed by add_delivery_sink; Error{kNotFound} for
-  /// unknown handles.
-  void remove_delivery_sink(SinkId id);
-
   /// Installs a drain hook: invoked once per publish()/publish_batch(),
-  /// after every notification of that call (callbacks and sinks) has been
-  /// delivered, outside all broker locks, on the publishing thread. This is
-  /// the batching boundary for transports that stage per-notification
-  /// output: a sink appends, the drain hook flushes, so one publish emits
-  /// one frame regardless of how many subscriptions matched. A publish that
+  /// after every callback of that call has run, outside all broker locks,
+  /// on the publishing thread. This is the batching boundary for
+  /// transports that stage per-notification output: the subscription
+  /// callbacks append, the drain hook flushes, so one publish emits one
+  /// frame regardless of how many subscriptions matched. A publish that
   /// delivers nothing still runs the hooks (cheap, and it lets a stage
   /// flush output that arrived through a different path). Hooks run in
   /// installation order and may re-enter the broker.
@@ -275,9 +260,6 @@ class Broker {
     std::uint64_t version = 0;
     std::shared_ptr<const MatchSnapshot> match;  // tree + flat compilation
     std::vector<Route> routes;
-    /// Broker-wide delivery observers, in installation order; empty when
-    /// none are installed.
-    std::vector<std::shared_ptr<const NotificationCallback>> sinks;
     /// Post-drain hooks, in installation order; empty when none are
     /// installed.
     std::vector<std::shared_ptr<const DrainHook>> drain_hooks;
@@ -288,15 +270,16 @@ class Broker {
   /// snapshot if stale — under the mutation mutex.
   std::shared_ptr<const Snapshot> acquire_snapshot(bool* rebuilt);
 
-  /// Shared body of both publish_batch overloads; `dedup_tokens` is empty
-  /// or parallel to `events`.
+  /// The one publish body behind every publish/publish_batch overload;
+  /// `dedup_tokens` is empty or parallel to `events`.
   BatchPublishResult publish_batch_impl(
       std::span<const Event> events,
       std::span<const std::uint64_t> dedup_tokens);
 
   /// Feeds one internal leaf firing into the composite runtime, then
   /// dispatches any completed composite callbacks outside composite_mutex_.
-  void composite_ingest(ProfileId profile, Timestamp time);
+  void composite_ingest(ProfileId profile, Timestamp time,
+                        std::uint64_t dedup_token);
   /// Registers this broker's metrics in metrics_ (constructor helper).
   void register_metrics();
   /// Refreshes the composite depth/lag gauges (composite_mutex_ held).
@@ -323,16 +306,6 @@ class Broker {
   /// next mutation bumps it (always bumped under mutex_, read lock-free).
   std::atomic<std::uint64_t> version_{1};
   std::shared_ptr<const Snapshot> snapshot_;  // guarded by mutex_
-
-  /// Installed delivery sinks, in installation order; guarded by mutex_.
-  struct SinkEntry {
-    SinkId id = 0;
-    std::shared_ptr<const NotificationCallback> callback;
-  };
-  std::vector<SinkEntry> sinks_;
-  SinkId next_sink_id_ = 1;
-  /// Sink owned by set_delivery_sink (its explicit-swap slot); 0 when none.
-  SinkId default_sink_id_ = 0;
 
   /// Installed drain hooks, in installation order; guarded by mutex_.
   struct DrainHookEntry {

@@ -166,7 +166,6 @@ struct MeshNetwork::Node {
   std::atomic<std::uint64_t> event_messages{0};
   std::atomic<std::uint64_t> profile_messages{0};
   std::atomic<std::uint64_t> filter_operations{0};
-  std::atomic<std::uint64_t> deliveries{0};
   /// Deepest this node's mailbox has grown (probed under the mailbox lock
   /// at push time, so the high-water costs no extra synchronization).
   std::atomic<std::uint64_t> mailbox_hwm{0};
@@ -263,10 +262,6 @@ NodeId MeshNetwork::add_node() {
   node->broker->set_trace_period(options_.trace_period);
   node->broker->set_composite_skew(options_.composite_skew);
   node->broker->set_composite_dedup_window(options_.composite_dedup_window);
-  Node* raw = node.get();
-  node->broker->set_delivery_sink([raw](const Notification&) {
-    raw->deliveries.fetch_add(1, std::memory_order_relaxed);
-  });
   nodes_.push_back(std::move(node));
   forest_.push_back(forest_.size());
   return nodes_.size() - 1;
@@ -1008,23 +1003,6 @@ void MeshNetwork::handle_link_payload(Node& node, NodeId source,
     return;
   }
 
-  if (auto* batch = std::get_if<wire::EventBatchMsg>(&decoded)) {
-    // Normally intercepted before the generic decode (see handle_message);
-    // kept for completeness so a batch decoded elsewhere still routes.
-    const std::size_t n = batch->events.size();
-    node.batch_events.insert(node.batch_events.end(),
-                             std::make_move_iterator(batch->events.begin()),
-                             std::make_move_iterator(batch->events.end()));
-    node.batch_sources.insert(node.batch_sources.end(), n, source);
-    if (batch->tokens.empty()) {
-      node.batch_tokens.insert(node.batch_tokens.end(), n, 0);
-    } else {
-      node.batch_tokens.insert(node.batch_tokens.end(), batch->tokens.begin(),
-                               batch->tokens.end());
-    }
-    return;
-  }
-
   std::size_t from_index = node.peers.size();
   for (std::size_t p = 0; p < node.peers.size(); ++p) {
     if (node.peers[p]->node == source) {
@@ -1082,7 +1060,7 @@ void MeshNetwork::route_events(Node& node) {
       node.broker->publish_batch(node.batch_events, node.batch_tokens);
   node.filter_operations.fetch_add(result.operations,
                                    std::memory_order_relaxed);
-  // result.notified is counted per node via the broker's delivery sink.
+  // result.notified is counted by the broker's notification counter.
 
   if (options_.auto_advance_watermark) {
     // Every event through this node drives the composite watermark, not
@@ -1166,7 +1144,7 @@ OverlayStats MeshNetwork::node_stats(NodeId node) const {
   stats.profile_messages = n.profile_messages.load(std::memory_order_relaxed);
   stats.filter_operations =
       n.filter_operations.load(std::memory_order_relaxed);
-  stats.deliveries = n.deliveries.load(std::memory_order_relaxed);
+  stats.deliveries = n.broker->counters().notifications;
   return stats;
 }
 
@@ -1230,8 +1208,6 @@ obs::StatsSnapshot MeshNetwork::stats_snapshot() const {
                obs::MetricKind::kCounter, load(n.profile_messages));
     synthesize("genas_mesh_filter_operations_total", node_labels,
                obs::MetricKind::kCounter, load(n.filter_operations));
-    synthesize("genas_mesh_deliveries_total", node_labels,
-               obs::MetricKind::kCounter, load(n.deliveries));
     synthesize("genas_mesh_mailbox_depth_highwater", node_labels,
                obs::MetricKind::kGauge, load(n.mailbox_hwm));
 

@@ -65,7 +65,8 @@
 // runtimes are directly comparable — the oracle test asserts identical
 // delivery multisets and routing-entry counts. profile_messages counts
 // routing-table installs (the overlay's definition), not raw frames.
-// `deliveries` counts every local broker notification, including primitive
+// `deliveries` is the node broker's notification counter
+// (genas_broker_notifications_total{node="N"}), so it includes primitive
 // deliveries into a composite subscription's detection tap — deliberately:
 // that is exactly what an overlay holding the decomposed leaf profiles as
 // plain subscriptions counts, so the composite oracle can compare the two
@@ -319,10 +320,10 @@ class MeshNetwork {
   /// crash the process: a poisoned message is dropped and recorded here.
   std::string first_error() const;
 
-  /// One node's broker, for transport-level wiring (delivery sinks, drain
-  /// hooks — e.g. BrokerServer flushing staged delivery batches at the end
-  /// of each worker drain round). The broker outlives every worker; sink
-  /// and hook registration is broker-synchronized.
+  /// One node's broker, for transport-level wiring (drain hooks — e.g.
+  /// BrokerServer flushing staged delivery batches at the end of each
+  /// worker drain round). The broker outlives every worker; hook
+  /// registration is broker-synchronized.
   Broker& node_broker(NodeId node) const;
 
  private:

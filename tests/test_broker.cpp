@@ -1,9 +1,17 @@
-// Tests for the ENS broker: subscriptions, delivery, counters, statistics.
+// Tests for the ENS broker: subscriptions, delivery, counters, statistics,
+// drain hooks, and the adaptive-vs-static delivery oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <mutex>
+#include <span>
+#include <string>
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "dist/sampler.hpp"
 #include "ens/broker.hpp"
 #include "test_util.hpp"
 
@@ -207,62 +215,248 @@ TEST_F(BrokerTest, PublishBatchWithAdaptiveEngineStillDelivers) {
   EXPECT_EQ(broker.counters().events_published, 16u);
 }
 
-// --- delivery sinks ---------------------------------------------------------
+// --- drain hooks ------------------------------------------------------------
 
-TEST_F(BrokerTest, MultipleDeliverySinksAllObserveAndSetOnlySwapsItsOwn) {
-  // Regression: set_delivery_sink used to silently clobber whatever sink was
-  // installed — an internal tap could knock out a user sink. Sinks added
-  // through add_delivery_sink are independent; set_delivery_sink swaps only
-  // the sink it installed itself.
-  int user = 0;
-  int first_default = 0;
-  int second_default = 0;
-  broker_.subscribe("temperature >= 35", [](const Notification&) {});
+TEST_F(BrokerTest, DrainHookRunsOncePerPublishAfterEveryCallback) {
+  // The hook is the broker-wide end-of-publish boundary: exactly one call
+  // per publish/publish_batch, after the last callback of that call, even
+  // when nothing matched — on the static and the adaptive match path alike.
+  EngineOptions adaptive_options;
+  adaptive_options.adaptive = AdaptiveOptions{};
+  Broker adaptive(schema_, adaptive_options);
+  for (Broker* broker : {&broker_, &adaptive}) {
+    std::vector<std::string> log;
+    broker->subscribe("temperature >= 35",
+                      [&](const Notification&) { log.push_back("hot"); });
+    broker->subscribe("humidity >= 90",
+                      [&](const Notification&) { log.push_back("wet"); });
+    broker->add_drain_hook([&] { log.push_back("drain"); });
 
-  const SinkId user_sink =
-      broker_.add_delivery_sink([&](const Notification&) { ++user; });
-  broker_.set_delivery_sink([&](const Notification&) { ++first_default; });
+    broker->publish("temperature = 40; humidity = 95; radiation = 1");
+    ASSERT_EQ(log.size(), 3u);
+    EXPECT_EQ(log.back(), "drain");
 
-  broker_.publish("temperature = 40; humidity = 0; radiation = 1");
-  EXPECT_EQ(user, 1);
-  EXPECT_EQ(first_default, 1);
+    log.clear();
+    broker->publish("temperature = 0; humidity = 0; radiation = 1");  // miss
+    EXPECT_EQ(log, (std::vector<std::string>{"drain"}));
 
-  // Explicit swap: replaces the previous set_delivery_sink slot only.
-  broker_.set_delivery_sink([&](const Notification&) { ++second_default; });
-  broker_.publish("temperature = 40; humidity = 0; radiation = 1");
-  EXPECT_EQ(user, 2);          // survived the swap
-  EXPECT_EQ(first_default, 1); // swapped out
-  EXPECT_EQ(second_default, 1);
+    log.clear();
+    Event event = parse_event(schema_, "temperature = 40; humidity = 95; "
+                                       "radiation = 1");
+    broker->publish(event, 7);  // tokened publish: same contract
+    ASSERT_EQ(log.size(), 3u);
+    EXPECT_EQ(log.back(), "drain");
 
-  // Clearing the default slot leaves added sinks installed.
-  broker_.set_delivery_sink(nullptr);
-  broker_.publish("temperature = 40; humidity = 0; radiation = 1");
-  EXPECT_EQ(user, 3);
-  EXPECT_EQ(second_default, 1);
-
-  broker_.remove_delivery_sink(user_sink);
-  broker_.publish("temperature = 40; humidity = 0; radiation = 1");
-  EXPECT_EQ(user, 3);
-  EXPECT_THROW(broker_.remove_delivery_sink(user_sink), Error);
-  EXPECT_THROW(broker_.add_delivery_sink(nullptr), Error);
+    log.clear();
+    const std::vector<Event> events(3, event);
+    broker->publish_batch(events);
+    ASSERT_EQ(log.size(), 7u);  // six callbacks, then one drain
+    EXPECT_EQ(std::count(log.begin(), log.end(), "drain"), 1);
+    EXPECT_EQ(log.back(), "drain");
+  }
 }
 
-TEST_F(BrokerTest, SinksObserveBatchDeliveries) {
-  int sink_batch = 0;
-  int sink_added = 0;
-  broker_.subscribe("temperature >= 35", [](const Notification&) {});
-  broker_.set_delivery_sink([&](const Notification&) { ++sink_batch; });
-  broker_.add_delivery_sink([&](const Notification&) { ++sink_added; });
+TEST_F(BrokerTest, DrainHookMayReenterPublish) {
+  int delivered = 0;
+  int drains = 0;
+  broker_.subscribe("temperature >= 35",
+                    [&](const Notification&) { ++delivered; });
+  broker_.add_drain_hook([&] {
+    if (++drains == 1) {
+      broker_.publish("temperature = 41; humidity = 0; radiation = 1");
+    }
+  });
+  broker_.publish("temperature = 40; humidity = 0; radiation = 1");
+  EXPECT_EQ(delivered, 2);  // the re-entrant publish delivered too
+  EXPECT_EQ(drains, 2);     // and ran the hook for itself
+}
 
-  std::vector<Event> events;
-  for (int i = 0; i < 4; ++i) {
-    events.push_back(Event::from_pairs(
-        schema_, {{"temperature", 40}, {"humidity", i}, {"radiation", 1}}));
+TEST_F(BrokerTest, DrainHookValidation) {
+  const DrainHookId id = broker_.add_drain_hook([] {});
+  broker_.remove_drain_hook(id);
+  try {
+    broker_.remove_drain_hook(id);
+    FAIL() << "removing an unknown drain hook must throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kNotFound) << e.what();
   }
-  const BatchPublishResult result = broker_.publish_batch(events);
-  EXPECT_EQ(result.notified, 4u);
-  EXPECT_EQ(sink_batch, 4);
-  EXPECT_EQ(sink_added, 4);
+  try {
+    broker_.add_drain_hook(nullptr);
+    FAIL() << "a null drain hook must be rejected";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << e.what();
+  }
+}
+
+// --- adaptive vs static oracle ----------------------------------------------
+
+namespace {
+
+/// Adaptive options that rebuild within a few hundred events of a drift.
+EngineOptions drifting_adaptive_options() {
+  EngineOptions options;
+  options.policy.value_order = ValueOrder::kEventProbability;
+  AdaptiveOptions adaptive;
+  adaptive.min_observations = 64;
+  adaptive.rebuild_cooldown = 64;
+  adaptive.decay = 0.98;
+  options.adaptive = adaptive;
+  return options;
+}
+
+/// A seeded stream whose temperature distribution flips between a high and
+/// a low peak every `phase` events; event i carries time i.
+std::vector<Event> flipping_stream(const SchemaPtr& schema, std::size_t count,
+                                   std::size_t phase, std::uint64_t seed) {
+  EventSampler high(testutil::peak_joint(schema, true), seed);
+  EventSampler low(testutil::peak_joint(schema, false), seed + 1);
+  std::vector<Event> events;
+  events.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    Event event = (i / phase) % 2 == 0 ? high.sample() : low.sample();
+    event.set_time(static_cast<Timestamp>(i));
+    events.push_back(std::move(event));
+  }
+  return events;
+}
+
+using DeliveryLog = std::vector<std::pair<SubscriptionId, Timestamp>>;
+
+}  // namespace
+
+TEST_F(BrokerTest, AdaptiveBrokerDeliversExactlyLikeStaticUnderChurn) {
+  // The adaptive and static brokers share one publish body and differ only
+  // in how they match; the paper's invariant is that restructuring the tree
+  // changes the cost, never the result. Identical subscribe/unsubscribe
+  // churn, a self-unsubscribing callback, and a mix of single and batch
+  // publishes must produce identical delivery sequences.
+  Broker adaptive(schema_, drifting_adaptive_options());
+  Broker& reference = broker_;
+  const std::vector<Event> stream = flipping_stream(schema_, 3000, 250, 5);
+
+  std::vector<DeliveryLog> logs(2);
+  std::vector<Broker*> brokers{&adaptive, &reference};
+  const auto recorder = [](DeliveryLog* log) {
+    return [log](const Notification& n) {
+      log->emplace_back(n.subscription, n.event.time());
+    };
+  };
+  std::vector<std::shared_ptr<SubscriptionId>> self_ids;
+  for (std::size_t b = 0; b < brokers.size(); ++b) {
+    // Delivered to once per remaining delivery of the call that matched
+    // it first, then gone: it unsubscribes itself mid-drain.
+    auto self = std::make_shared<SubscriptionId>(0);
+    Broker* broker = brokers[b];
+    DeliveryLog* log = &logs[b];
+    *self = broker->subscribe(
+        "temperature >= 45", [broker, log, self](const Notification& n) {
+          log->emplace_back(n.subscription, n.event.time());
+          if (*self != 0) {
+            broker->unsubscribe(*self);
+            *self = 0;
+          }
+        });
+    self_ids.push_back(self);
+  }
+
+  Rng rng(23);
+  std::vector<SubscriptionId> live;
+  std::size_t next = 0;
+  while (next < stream.size()) {
+    if (live.size() < 6 || rng.chance(0.4)) {
+      const std::string expression =
+          rng.chance(0.5)
+              ? "temperature >= " + std::to_string(rng.range(-30, 50))
+              : "temperature <= " + std::to_string(rng.range(-30, 50)) +
+                    " && humidity >= " + std::to_string(rng.range(0, 100));
+      SubscriptionId id = 0;
+      for (std::size_t b = 0; b < brokers.size(); ++b) {
+        id = brokers[b]->subscribe(expression, recorder(&logs[b]));
+      }
+      live.push_back(id);
+    } else if (rng.chance(0.3)) {
+      const std::size_t pick = rng.below(live.size());
+      for (Broker* broker : brokers) broker->unsubscribe(live[pick]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+    }
+    const std::size_t n =
+        std::min<std::size_t>(rng.chance(0.5) ? 1 : 1 + rng.below(40),
+                              stream.size() - next);
+    const std::span<const Event> chunk(stream.data() + next, n);
+    for (Broker* broker : brokers) {
+      if (n == 1) {
+        broker->publish(chunk[0]);
+      } else {
+        broker->publish_batch(chunk);
+      }
+    }
+    next += n;
+  }
+
+  EXPECT_EQ(*self_ids[0], 0u);  // the self-unsubscriber fired and left
+  EXPECT_GT(adaptive.metrics().snapshot().value(
+                "genas_broker_adaptive_rebuilds_total"),
+            1);
+  ASSERT_FALSE(logs[1].empty());
+  EXPECT_EQ(logs[0], logs[1]);
+  EXPECT_EQ(adaptive.counters().notifications,
+            reference.counters().notifications);
+  EXPECT_EQ(adaptive.counters().events_matched,
+            reference.counters().events_matched);
+}
+
+TEST_F(BrokerTest, ConcurrentAdaptivePublishersMatchStaticReference) {
+  // Three publisher threads drive one adaptive broker (matching serialized,
+  // routing and delivery concurrent) across drift rebuilds; the delivery
+  // multiset must equal a static broker's over the same events.
+  Broker adaptive(schema_, drifting_adaptive_options());
+  const std::vector<Event> stream = flipping_stream(schema_, 6000, 300, 9);
+  const std::vector<std::string> expressions{
+      "temperature >= 35", "temperature <= -10", "humidity >= 90",
+      "temperature >= 0 && humidity <= 20", "radiation >= 50"};
+
+  std::mutex mutex;
+  DeliveryLog concurrent;
+  DeliveryLog expected;
+  for (const std::string& expression : expressions) {
+    adaptive.subscribe(expression, [&](const Notification& n) {
+      const std::scoped_lock lock(mutex);
+      concurrent.emplace_back(n.subscription, n.event.time());
+    });
+    broker_.subscribe(expression, [&](const Notification& n) {
+      expected.emplace_back(n.subscription, n.event.time());
+    });
+  }
+  broker_.publish_batch(stream);
+
+  constexpr std::size_t kThreads = 3;
+  std::vector<std::thread> publishers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    publishers.emplace_back([&, t] {
+      // Thread t owns events t, t + 3, ...; odd threads batch them.
+      std::vector<Event> mine;
+      for (std::size_t i = t; i < stream.size(); i += kThreads) {
+        mine.push_back(stream[i]);
+      }
+      for (std::size_t i = 0; i < mine.size(); i += 16) {
+        const std::size_t n = std::min<std::size_t>(16, mine.size() - i);
+        if (t % 2 == 1) {
+          adaptive.publish_batch(std::span<const Event>(mine).subspan(i, n));
+        } else {
+          for (std::size_t k = i; k < i + n; ++k) adaptive.publish(mine[k]);
+        }
+      }
+    });
+  }
+  for (std::thread& publisher : publishers) publisher.join();
+
+  EXPECT_GT(adaptive.metrics().snapshot().value(
+                "genas_broker_adaptive_rebuilds_total"),
+            1);
+  ASSERT_FALSE(expected.empty());
+  std::sort(concurrent.begin(), concurrent.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(concurrent, expected);
 }
 
 TEST_F(BrokerTest, BatchSurvivesReentrantSubscribeAndPublishMidDrain) {

@@ -1,7 +1,7 @@
 // Tests for first-class composite subscriptions at the Broker: decomposition
 // into internal primitive profiles, watermark-driven firing, flush, skew,
-// unsubscription, coexistence with delivery sinks, and re-entrancy from
-// composite callbacks.
+// unsubscription, coexistence with plain subscriptions, redelivery tokens,
+// and re-entrancy from composite callbacks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -120,11 +120,10 @@ TEST_F(CompositeBrokerTest, UnsubscribeCompositeRemovesLeaves) {
 }
 
 TEST_F(CompositeBrokerTest, CoexistsWithDeliverySinksAndPlainSubs) {
-  // The composite tap must not disturb a user sink or plain subscriptions
-  // (the regression the multi-sink API exists for).
-  int sink_seen = 0;
+  // The composite tap must not disturb plain subscriptions, and the
+  // broker-wide notification counter counts the tap's deliveries like any
+  // other.
   int plain_seen = 0;
-  broker_.set_delivery_sink([&](const Notification&) { ++sink_seen; });
   broker_.subscribe("temperature >= 35",
                     [&](const Notification&) { ++plain_seen; });
   broker_.subscribe_composite(
@@ -132,13 +131,14 @@ TEST_F(CompositeBrokerTest, CoexistsWithDeliverySinksAndPlainSubs) {
           primitive(parse_profile(schema_, "humidity >= 90")), 10),
       recorder());
 
+  const std::uint64_t notifications_before = broker_.counters().notifications;
   publish(40, 0, 1, 1);
   publish(0, 95, 1, 2);
   broker_.flush_composites();
   EXPECT_EQ(fired_, (std::vector<Timestamp>{2}));
   EXPECT_EQ(plain_seen, 1);
-  // The sink observes the plain delivery and both internal leaf taps.
-  EXPECT_EQ(sink_seen, 3);
+  // The plain delivery and both internal leaf taps.
+  EXPECT_EQ(broker_.counters().notifications - notifications_before, 3u);
   EXPECT_EQ(broker_.subscription_count(), 1u);
 }
 
@@ -383,6 +383,34 @@ TEST_F(CompositeBrokerTest, UntokenedPublishesBypassTheDedupWindow) {
 
   broker_.flush_composites();
   EXPECT_EQ(fired_, (std::vector<Timestamp>{3, 4, 5}));
+}
+
+TEST_F(CompositeBrokerTest, NestedUntokenedPublishDoesNotInheritTheToken) {
+  // Regression: the token of a tokened publish used to sit in thread-local
+  // state for the whole of each callback, so an untokened publish made from
+  // inside a callback tagged its own composite stimulus with the outer
+  // token — and the dedup window dropped one of the two (token, leaf)
+  // stimuli as a redelivery. The token now rides in the Notification.
+  broker_.set_composite_dedup_window(32);
+  broker_.subscribe_composite(
+      disj(primitive(parse_profile(schema_, "temperature >= 35")),
+           primitive(parse_profile(schema_, "humidity >= 90"))),
+      recorder());
+  bool republished = false;
+  broker_.subscribe("temperature >= 30", [&](const Notification&) {
+    if (republished) return;
+    republished = true;
+    publish(38, 0, 1, 7);  // untokened, later, matches the same leaf
+  });
+
+  Event hot = Event::from_pairs(
+      schema_, {{"temperature", 40}, {"humidity", 0}, {"radiation", 1}});
+  hot.set_time(3);
+  broker_.publish(hot, 9001);
+  broker_.flush_composites();
+  EXPECT_TRUE(republished);
+  EXPECT_EQ(fired_, (std::vector<Timestamp>{3, 7}));
+  EXPECT_EQ(broker_.composite_duplicates_dropped(), 0u);
 }
 
 TEST_F(CompositeBrokerTest, DedupDoesNotSuppressPlainDeliveries) {

@@ -1,13 +1,14 @@
 // End-to-end integration: broker + adaptive engine + composite detector +
-// event history working together, and the statistics objects driving a
-// profile-distribution-aware rebuild (the paper's full §4.2 workflow).
+// an event-distribution estimator working together, and the statistics
+// objects driving a profile-distribution-aware rebuild (the paper's full
+// §4.2 workflow).
 #include <gtest/gtest.h>
 
+#include "dist/estimator.hpp"
 #include "dist/sampler.hpp"
 #include "dist/shapes.hpp"
 #include "ens/broker.hpp"
 #include "ens/composite.hpp"
-#include "ens/history.hpp"
 #include "test_util.hpp"
 #include "tree/expected_cost.hpp"
 
@@ -18,7 +19,7 @@ TEST(Integration, BrokerFeedsCompositeDetectorAndHistory) {
   const SchemaPtr schema = testutil::example1_schema();
   Broker broker(schema);
   CompositeDetector detector;
-  EventHistory history(schema, 64);
+  SchemaEstimator history(schema);
 
   // Primitive profiles: heat spike (profile 0), humidity spike (profile 1).
   broker.subscribe("temperature >= 40", [&](const Notification& n) {
@@ -36,7 +37,7 @@ TEST(Integration, BrokerFeedsCompositeDetectorAndHistory) {
     const Event event = Event::from_pairs(
         schema,
         {{"temperature", temp}, {"humidity", hum}, {"radiation", 1}}, t);
-    history.record(event);
+    history.observe(event);
     broker.publish(event);
   };
 
@@ -47,7 +48,7 @@ TEST(Integration, BrokerFeedsCompositeDetectorAndHistory) {
   publish(50, 10, 99);  // humidity 20 later -> outside window
   EXPECT_EQ(fired, 1);
 
-  EXPECT_EQ(history.size(), 4u);
+  EXPECT_EQ(history.observations(), 4u);
   EXPECT_EQ(broker.counters().events_published, 4u);
   EXPECT_EQ(broker.counters().notifications, 4u);
 }
@@ -58,13 +59,13 @@ TEST(Integration, HistoryWarmedEngineMatchesColdEngineSemantics) {
       schema, {shapes::percent_peak(81, 0.9, true, 0.1), shapes::equal(101),
                shapes::equal(100)});
 
-  // Record history, then hand its empirical distribution to a fresh engine
-  // as the prior (the paper's "history of events" workflow).
-  EventHistory history(schema, 2000);
-  for (Event& event : testutil::event_stream(feed, 2000, 3)) {
-    history.record(std::move(event));
+  // Observe a history of events, then hand its empirical distribution to a
+  // fresh engine as the prior (the paper's "history of events" workflow).
+  SchemaEstimator history(schema);
+  for (const Event& event : testutil::event_stream(feed, 2000, 3)) {
+    history.observe(event);
   }
-  const JointDistribution learned = history.empirical_distribution();
+  const JointDistribution learned = history.estimate_joint(0.5);
 
   EngineOptions warm;
   warm.policy.value_order = ValueOrder::kEventProbability;

@@ -428,7 +428,6 @@ TEST(ObsMesh, StatsSnapshotMergesNodesAndLinks) {
   const obs::StatsSnapshot snapshot = net.stats_snapshot();
   EXPECT_EQ(snapshot.value("genas_mesh_events_published_total{node=\"0\"}"),
             10);
-  EXPECT_EQ(snapshot.value("genas_mesh_deliveries_total{node=\"1\"}"), 10);
   EXPECT_EQ(snapshot.value(
                 "genas_mesh_link_event_messages_total{node=\"0\",peer=\"1\"}"),
             10);
