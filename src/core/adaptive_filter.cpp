@@ -27,14 +27,11 @@ JointDistribution AdaptiveController::estimate() const {
 }
 
 double AdaptiveController::drift() const {
-  if (!baseline_.has_value() || observations_ == 0) return 0.0;
+  if (baseline_.empty() || observations_ == 0) return 0.0;
   double worst = 0.0;
   for (AttributeId id = 0; id < schema_->attribute_count(); ++id) {
-    const DiscreteDistribution current =
-        estimator_.attribute(id).estimate(options_.smoothing);
-    const DiscreteDistribution base = baseline_->marginal(id);
-    worst = std::max(worst,
-                     DiscreteDistribution::l1_distance(current, base));
+    worst = std::max(worst, estimator_.attribute(id).l1_distance(
+                                baseline_[id], options_.smoothing));
   }
   return worst;
 }
@@ -43,7 +40,7 @@ bool AdaptiveController::should_rebuild() const {
   if (observations_ < options_.min_observations) return false;
   // Before the first optimization only min_observations gates the rebuild;
   // the cooldown throttles subsequent ones.
-  if (!baseline_.has_value()) return true;
+  if (baseline_.empty()) return true;
   if (observations_ - observations_at_rebuild_ < options_.rebuild_cooldown) {
     return false;
   }
@@ -51,7 +48,14 @@ bool AdaptiveController::should_rebuild() const {
 }
 
 void AdaptiveController::mark_rebuilt(const JointDistribution& baseline) {
-  baseline_ = baseline;
+  baseline_.resize(schema_->attribute_count());
+  for (AttributeId id = 0; id < baseline_.size(); ++id) {
+    const DiscreteDistribution marginal = baseline.marginal(id);
+    baseline_[id].resize(static_cast<std::size_t>(marginal.size()));
+    for (std::size_t v = 0; v < baseline_[id].size(); ++v) {
+      baseline_[id][v] = marginal.pmf(static_cast<DomainIndex>(v));
+    }
+  }
   observations_at_rebuild_ = observations_;
   ++rebuilds_;
 }

@@ -13,7 +13,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <vector>
 
 #include "dist/estimator.hpp"
 #include "dist/joint.hpp"
@@ -65,7 +65,8 @@ class AdaptiveController {
   SchemaPtr schema_;
   AdaptiveOptions options_;
   SchemaEstimator estimator_;
-  std::optional<JointDistribution> baseline_;
+  /// Per-attribute pmf of the baseline; empty until the first rebuild.
+  std::vector<std::vector<double>> baseline_;
   std::uint64_t observations_ = 0;
   std::uint64_t observations_at_rebuild_ = 0;
   std::uint64_t rebuilds_ = 0;

@@ -2,6 +2,7 @@
 
 #include "common/error.hpp"
 #include "dist/shapes.hpp"
+#include "obs/trace.hpp"
 
 namespace genas {
 
@@ -50,16 +51,28 @@ JointDistribution FilterEngine::effective_distribution() const {
 }
 
 void FilterEngine::rebuild_locked(const JointDistribution& distribution) {
+  const std::uint64_t start = obs::now_ns();
+  // Re-rank the live tree when only the ranking can have changed: same
+  // profile set, same attribute order, and a value order whose scan keys
+  // read nothing but cell intervals and P_e. Anything else builds afresh.
+  TreeConfig config = make_tree_config(profiles_, options_.policy, distribution);
+  const ProfileTree* live = snapshot_ != nullptr ? snapshot_->tree.get() : nullptr;
+  const bool rank_only = live != nullptr &&
+                         live->source_version() == profiles_.version() &&
+                         live->rerankable(config);
   // Build off to the side, then swap the snapshot pointer in one shot: a
   // caller holding the previous snapshot keeps matching against it.
   auto tree = std::make_shared<const ProfileTree>(
-      build_tree(profiles_, options_.policy, distribution));
+      rank_only ? live->rerank(std::move(config))
+                : ProfileTree::build(profiles_, std::move(config)));
   auto flat = std::make_shared<const FlatProfileTree>(
       FlatProfileTree::compile(*tree));
   snapshot_ = std::make_shared<const MatchSnapshot>(
       MatchSnapshot{std::move(tree), std::move(flat)});
   ++rebuild_count_;
+  if (!rank_only) ++full_build_count_;
   if (adaptive_.has_value()) adaptive_->mark_rebuilt(distribution);
+  last_rebuild_ns_ = obs::now_ns() - start;
 }
 
 void FilterEngine::rebuild() { rebuild_locked(effective_distribution()); }

@@ -6,6 +6,11 @@
 // lazily — subscription changes mark the tree stale and the next match (or
 // an explicit rebuild()) refreshes it.
 //
+// A rebuild with an unchanged profile set and attribute order under natural
+// or V1 value ordering only re-ranks the live tree's cells under the new
+// distribution (ProfileTree::rerank); any other rebuild builds the tree
+// afresh.
+//
 // Every rebuild produces an immutable MatchSnapshot: the node-form tree
 // (build / expected-cost / dump representation) plus its FlatProfileTree
 // compilation (the cache-friendly hot match path). snapshot() hands the
@@ -120,6 +125,13 @@ class FilterEngine {
   std::shared_ptr<const MatchSnapshot> snapshot();
 
   std::uint64_t rebuild_count() const noexcept { return rebuild_count_; }
+  /// Rebuilds that built the tree from scratch. The others re-ranked the
+  /// live tree (ProfileTree::rerank): the profile set and attribute order
+  /// were unchanged and the value order is keyed by cell interval and P_e.
+  std::uint64_t full_build_count() const noexcept { return full_build_count_; }
+  /// Wall time of the latest rebuild (tree, flat compile, snapshot swap);
+  /// read it after a call that reported a rebuild.
+  std::uint64_t last_rebuild_ns() const noexcept { return last_rebuild_ns_; }
   std::uint64_t events_matched() const noexcept { return events_matched_; }
 
   /// Adaptive controller, when enabled (for diagnostics).
@@ -145,6 +157,8 @@ class FilterEngine {
   std::optional<AdaptiveController> adaptive_;
   std::shared_ptr<const MatchSnapshot> snapshot_;
   std::uint64_t rebuild_count_ = 0;
+  std::uint64_t full_build_count_ = 0;
+  std::uint64_t last_rebuild_ns_ = 0;
   std::uint64_t events_matched_ = 0;
 };
 

@@ -1,5 +1,7 @@
 #include "dist/estimator.hpp"
 
+#include <cmath>
+
 #include "common/error.hpp"
 
 namespace genas {
@@ -39,6 +41,25 @@ DiscreteDistribution HistogramEstimator::estimate(double smoothing) const {
     weights[i] = counts_[i] / scale_ + smoothing;
   }
   return DiscreteDistribution::from_weights(std::move(weights));
+}
+
+double HistogramEstimator::l1_distance(std::span<const double> q,
+                                       double smoothing) const {
+  GENAS_REQUIRE(q.size() == counts_.size(), ErrorCode::kInvalidArgument,
+                "L1 distance needs equal domain sizes");
+  GENAS_REQUIRE(smoothing >= 0.0, ErrorCode::kInvalidArgument,
+                "smoothing must be non-negative");
+  GENAS_REQUIRE(observations_ > 0 || smoothing > 0.0, ErrorCode::kState,
+                "cannot estimate from an empty histogram without smoothing");
+  // The arithmetic of estimate() + from_weights(): the weights' total
+  // first, then each weight over it.
+  double total = 0.0;
+  for (const double c : counts_) total += c / scale_ + smoothing;
+  double distance = 0.0;
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    distance += std::abs((counts_[i] / scale_ + smoothing) / total - q[i]);
+  }
+  return distance;
 }
 
 void HistogramEstimator::reset() noexcept {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dist/joint.hpp"
@@ -33,6 +34,11 @@ class HistogramEstimator {
   /// Throws when smoothing is negative, or when the histogram is empty and
   /// smoothing is zero (no distribution can be formed).
   DiscreteDistribution estimate(double smoothing) const;
+
+  /// DiscreteDistribution::l1_distance(estimate(smoothing), q) for the pmf
+  /// `q`, bit for bit, without materializing the estimate. Throws when the
+  /// sizes differ or no estimate can be formed.
+  double l1_distance(std::span<const double> q, double smoothing) const;
 
   void reset() noexcept;
 

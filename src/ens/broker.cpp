@@ -79,13 +79,16 @@ void Broker::register_metrics() {
                                    "read-side snapshot rebuilds");
   adaptive_rebuilds_ = reg.counter("genas_broker_adaptive_rebuilds_total",
                                    "adaptive-engine tree rebuilds");
+  full_tree_builds_ = reg.counter("genas_broker_full_tree_builds_total",
+                                  "tree rebuilds built from scratch "
+                                  "(the rest re-ranked the live tree)");
   match_latency_ = reg.histogram("genas_broker_match_latency_ns", latency,
                                  "sampled publish->match latency");
   delivery_latency_ = reg.histogram("genas_broker_delivery_latency_ns",
                                     latency,
                                     "sampled publish->deliver latency");
   rebuild_pause_ = reg.histogram("genas_broker_rebuild_pause_ns", latency,
-                                 "snapshot rebuild pause duration");
+                                 "snapshot and adaptive rebuild pause duration");
   composite_firings_ = reg.counter("genas_composite_firings_total",
                                    "composite subscriptions fired");
   composite_dedup_drops_ =
@@ -470,10 +473,12 @@ std::shared_ptr<const Broker::Snapshot> Broker::acquire_snapshot(
     auto fresh = std::make_shared<Snapshot>();
     fresh->version = current;
     const std::uint64_t builds_before = engine_.rebuild_count();
+    const std::uint64_t full_before = engine_.full_build_count();
     fresh->match = engine_.snapshot();
     if (rebuilt != nullptr && engine_.rebuild_count() != builds_before) {
       *rebuilt = true;
     }
+    full_tree_builds_.add(engine_.full_build_count() - full_before);
     fresh->routes.resize(engine_.profiles().capacity());
     for (const auto& [profile, subscription] : by_profile_) {
       fresh->routes[profile] =
@@ -551,13 +556,18 @@ BatchPublishResult Broker::publish_batch_impl(
   static thread_local std::vector<std::size_t> offsets;
   if (adaptive) {
     const std::scoped_lock lock(mutex_);
+    const std::uint64_t full_before = engine_.full_build_count();
     const EngineBatchMatch outcome =
         engine_.match_batch(events, matched, offsets);
     result.operations = outcome.operations;
     result.matched_events = outcome.matched_events;
     if (outcome.rebuilt) {
+      // The engine timed its own rebuild, so a publish that does not
+      // rebuild reads no clock here.
       result.rebuilt = true;
       adaptive_rebuilds_.add(1);
+      full_tree_builds_.add(engine_.full_build_count() - full_before);
+      rebuild_pause_.observe(engine_.last_rebuild_ns());
     }
   }
 

@@ -357,6 +357,7 @@ class Broker {
   obs::Counter operations_;
   obs::Counter snapshot_rebuilds_;
   obs::Counter adaptive_rebuilds_;
+  obs::Counter full_tree_builds_;
   obs::Histogram match_latency_;
   obs::Histogram delivery_latency_;
   obs::Histogram rebuild_pause_;

@@ -57,27 +57,57 @@ Decomposition decompose(const Interval& universe,
   }
   std::sort(bounds.begin(), bounds.end());
   bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+  const std::size_t raw_count = bounds.size() - 1;
+  const auto position = [&](DomainIndex boundary) {
+    return static_cast<std::size_t>(
+        std::lower_bound(bounds.begin(), bounds.end(), boundary) -
+        bounds.begin());
+  };
 
-  // Build raw cells between consecutive boundaries and attach accepters.
-  Decomposition out;
-  out.cells.reserve(bounds.size());
-  for (std::size_t b = 0; b + 1 < bounds.size(); ++b) {
-    Cell cell;
-    cell.interval = {bounds[b], bounds[b + 1] - 1};
-    for (std::uint32_t c = 0; c < constraints.size(); ++c) {
-      // Elementary cells never straddle a constraint boundary, so covering
-      // the cell is equivalent to containing its low end.
-      if (constraints[c]->contains(cell.interval.lo)) {
-        cell.accepters.push_back(c);
-      }
+  // Scatter each constraint interval onto the run of elementary cells it
+  // covers (found by binary search on its two boundaries), CSR-style: count
+  // first, then fill. Constraints are visited in index order, so every
+  // cell's accepter list comes out sorted.
+  struct Span {
+    std::uint32_t constraint;
+    std::size_t first;
+    std::size_t last;  // one past
+  };
+  std::vector<Span> spans;
+  std::vector<std::size_t> offset(raw_count + 1, 0);
+  for (std::uint32_t c = 0; c < constraints.size(); ++c) {
+    for (const Interval& iv : constraints[c]->intervals()) {
+      const Interval clipped = iv.intersect(universe);
+      if (clipped.empty()) continue;
+      const Span span{c, position(clipped.lo), position(clipped.hi + 1)};
+      for (std::size_t b = span.first; b < span.last; ++b) ++offset[b + 1];
+      spans.push_back(span);
     }
-    // Merge with the previous cell when the accepter sets coincide — keeps
-    // cells maximal, matching the paper's subrange notion.
-    if (!out.cells.empty() && out.cells.back().accepters == cell.accepters &&
-        out.cells.back().interval.adjacent_before(cell.interval)) {
-      out.cells.back().interval.hi = cell.interval.hi;
+  }
+  for (std::size_t b = 0; b < raw_count; ++b) offset[b + 1] += offset[b];
+  std::vector<std::uint32_t> accepters(offset[raw_count]);
+  std::vector<std::size_t> fill(offset.begin(), offset.end() - 1);
+  for (const Span& span : spans) {
+    for (std::size_t b = span.first; b < span.last; ++b) {
+      accepters[fill[b]++] = span.constraint;
+    }
+  }
+
+  // Emit cells, merging a raw cell into its predecessor when the accepter
+  // sets coincide — keeps cells maximal, matching the paper's subrange
+  // notion.
+  Decomposition out;
+  out.cells.reserve(raw_count);
+  for (std::size_t b = 0; b < raw_count; ++b) {
+    const auto begin = accepters.begin() + static_cast<std::ptrdiff_t>(offset[b]);
+    const auto end = accepters.begin() + static_cast<std::ptrdiff_t>(offset[b + 1]);
+    const Interval interval{bounds[b], bounds[b + 1] - 1};
+    if (!out.cells.empty() &&
+        std::equal(out.cells.back().accepters.begin(),
+                   out.cells.back().accepters.end(), begin, end)) {
+      out.cells.back().interval.hi = interval.hi;
     } else {
-      out.cells.push_back(std::move(cell));
+      out.cells.push_back(Cell{interval, std::vector<std::uint32_t>(begin, end)});
     }
   }
   return out;

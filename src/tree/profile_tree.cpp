@@ -1,6 +1,7 @@
 #include "tree/profile_tree.hpp"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 
@@ -23,54 +24,38 @@ std::string_view to_string(ValueOrder order) noexcept {
 
 namespace {
 
-/// Memoization key: (level, alive profile set) with a precomputed hash.
-struct MemoKey {
-  std::size_t level = 0;
-  std::vector<ProfileId> alive;
-
-  friend bool operator==(const MemoKey& a, const MemoKey& b) noexcept {
-    return a.level == b.level && a.alive == b.alive;
-  }
-};
-
-struct ProfileVecHash {
-  std::size_t operator()(const std::vector<ProfileId>& ids) const noexcept {
-    std::uint64_t h = 0x243F6A8885A308D3ULL;
-    for (const ProfileId id : ids) {
-      std::uint64_t x = h ^ (id + 0x9E3779B97F4A7C15ULL);
-      h = splitmix64(x);
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
-struct MemoKeyHash {
-  std::size_t operator()(const MemoKey& key) const noexcept {
-    return ProfileVecHash{}(key.alive) ^ (key.level * 0x9E3779B97F4A7C15ULL);
-  }
-};
-
-/// Merges two sorted ProfileId lists into one sorted list.
-std::vector<ProfileId> merge_sorted(const std::vector<ProfileId>& a,
-                                    const std::vector<ProfileId>& b) {
-  std::vector<ProfileId> out;
-  out.reserve(a.size() + b.size());
-  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
-  return out;
+/// Fixed per-profile key of the additive set hash. A set's hash is the sum
+/// of its members' keys, so a child's hash is its node's don't-care sum
+/// plus the keys of the profiles its cell accepts: no set is built just to
+/// be looked up.
+std::uint64_t profile_key(ProfileId id) noexcept {
+  std::uint64_t state = id;
+  return splitmix64(state);
 }
 
-class TreeBuilder {
+/// `attribute_order` with an empty order read as schema order.
+std::vector<AttributeId> resolve_order(std::vector<AttributeId> order,
+                                       std::size_t attribute_count) {
+  if (order.empty()) {
+    order.resize(attribute_count);
+    for (std::size_t j = 0; j < attribute_count; ++j) order[j] = j;
+  }
+  return order;
+}
+
+/// Plans each node's per-cell costs and scan ranks under one configuration.
+/// The builder and ProfileTree::rerank both rank nodes through it, so the
+/// scan-key switch exists once.
+class NodeRanker {
  public:
-  TreeBuilder(const ProfileSet& profiles, const TreeConfig& config,
-              ProfileTree::Node* /*tag*/ = nullptr)
-      : profiles_(profiles), schema_(*profiles.schema()), config_(config) {
+  NodeRanker(const SchemaPtr& schema, const TreeConfig& config)
+      : config_(config) {
     if (config_.event_distribution.has_value()) {
       const JointDistribution& joint = *config_.event_distribution;
-      GENAS_REQUIRE(joint.schema() == profiles.schema(),
-                    ErrorCode::kInvalidArgument,
+      GENAS_REQUIRE(joint.schema() == schema, ErrorCode::kInvalidArgument,
                     "event distribution schema differs from profile schema");
-      marginals_.reserve(schema_.attribute_count());
-      for (AttributeId id = 0; id < schema_.attribute_count(); ++id) {
+      marginals_.reserve(schema->attribute_count());
+      for (AttributeId id = 0; id < schema->attribute_count(); ++id) {
         marginals_.push_back(joint.marginal(id));
       }
     }
@@ -80,121 +65,38 @@ class TreeBuilder {
                   "value order requires an event distribution");
   }
 
-  std::int32_t run(std::vector<ProfileId> alive, std::vector<ProfileTree::Node>& nodes,
-                   std::vector<ProfileTree::Leaf>& leaves, TreeBuildStats& stats) {
-    nodes_ = &nodes;
-    leaves_ = &leaves;
-    stats_ = &stats;
-    if (alive.empty()) return ProfileTree::kMiss;
-    return build_slot(0, std::move(alive));
+  /// Fills node.cost and node.scan_rank from its cells and children.
+  /// `shares[i]` is P_p of cell i, read only by the V2/V3 orders.
+  void rank(ProfileTree::Node& node, std::span<const double> shares) {
+    const std::size_t k = node.cells.size();
+    layout_.cells.assign(node.cells.begin(), node.cells.end());
+    layout_.is_edge.resize(k);
+    layout_.order_key.resize(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      layout_.is_edge[i] = node.child[i] != ProfileTree::kMiss;
+      layout_.order_key[i] = order_key(node.attribute, node.cells[i], shares, i);
+    }
+    CellCosts costs = plan_costs(layout_, config_.strategy);
+    node.cost = std::move(costs.cost);
+    node.scan_rank = std::move(costs.scan_rank);
   }
 
  private:
-  std::int32_t build_slot(std::size_t level, std::vector<ProfileId> alive) {
-    GENAS_CHECK(!alive.empty(), "build_slot requires a non-empty alive set");
-    if (level == order().size()) return build_leaf(std::move(alive));
-
-    MemoKey key{level, std::move(alive)};
-    if (const auto it = memo_.find(key); it != memo_.end()) {
-      ++stats_->memo_hits;
-      return it->second;
-    }
-
-    const AttributeId attribute = order()[level];
-    const Domain& domain = schema_.attribute(attribute).domain;
-
-    // Split the alive set into profiles constraining this attribute and
-    // don't-care profiles (which flow into every cell).
-    std::vector<ProfileId> constrained_ids;
-    std::vector<const IntervalSet*> constraints;
-    std::vector<ProfileId> dont_care;
-    for (const ProfileId id : key.alive) {
-      const Predicate* predicate = profiles_.profile(id).predicate(attribute);
-      if (predicate != nullptr) {
-        constrained_ids.push_back(id);
-        constraints.push_back(&predicate->accepted());
-      } else {
-        dont_care.push_back(id);
-      }
-    }
-
-    const Decomposition decomp = decompose(domain.full(), constraints);
-    const std::size_t cell_count = decomp.cells.size();
-
-    ProfileTree::Node node;
-    node.attribute = attribute;
-    node.cells.reserve(cell_count);
-    node.child.reserve(cell_count);
-
-    CellLayout layout;
-    layout.cells.reserve(cell_count);
-    layout.is_edge.reserve(cell_count);
-    layout.order_key.reserve(cell_count);
-
-    for (const Cell& cell : decomp.cells) {
-      std::vector<ProfileId> cell_alive = dont_care;
-      if (!cell.accepters.empty()) {
-        std::vector<ProfileId> accepted;
-        accepted.reserve(cell.accepters.size());
-        for (const std::uint32_t c : cell.accepters) {
-          accepted.push_back(constrained_ids[c]);
-        }
-        cell_alive = merge_sorted(dont_care, accepted);
-      }
-
-      const bool edge = !cell_alive.empty();
-      node.cells.push_back(cell.interval);
-      node.child.push_back(edge ? build_slot(level + 1, std::move(cell_alive))
-                                : ProfileTree::kMiss);
-
-      layout.cells.push_back(cell.interval);
-      layout.is_edge.push_back(edge);
-      layout.order_key.push_back(order_key(attribute, cell, constrained_ids));
-      if (edge) ++stats_->edge_count;
-    }
-
-    const CellCosts costs = plan_costs(layout, config_.strategy);
-    node.cost = costs.cost;
-    node.scan_rank = costs.scan_rank;
-
-    stats_->cell_count += cell_count;
-    stats_->max_node_width = std::max(stats_->max_node_width, cell_count);
-    ++stats_->node_count;
-
-    const auto index = static_cast<std::int32_t>(nodes_->size());
-    nodes_->push_back(std::move(node));
-    memo_.emplace(std::move(key), index);
-    return index;
-  }
-
-  std::int32_t build_leaf(std::vector<ProfileId> alive) {
-    if (const auto it = leaf_memo_.find(alive); it != leaf_memo_.end()) {
-      ++stats_->memo_hits;
-      return it->second;
-    }
-    const std::int32_t ref = ProfileTree::make_leaf_ref(leaves_->size());
-    leaves_->push_back(ProfileTree::Leaf{alive});
-    ++stats_->leaf_count;
-    leaf_memo_.emplace(std::move(alive), ref);
-    return ref;
-  }
-
   /// Scan-priority key of a cell under the configured value order. Higher
   /// keys are scanned earlier; ties resolve to natural interval order.
-  double order_key(AttributeId attribute, const Cell& cell,
-                   const std::vector<ProfileId>& constrained_ids) const {
+  double order_key(AttributeId attribute, const Interval& cell,
+                   std::span<const double> shares, std::size_t i) const {
     switch (config_.value_order) {
       case ValueOrder::kNaturalAscending:
         return 0.0;  // all ties -> stable sort keeps natural order
       case ValueOrder::kNaturalDescending:
-        return static_cast<double>(cell.interval.lo);
+        return static_cast<double>(cell.lo);
       case ValueOrder::kEventProbability:
-        return event_mass(attribute, cell.interval);
+        return event_mass(attribute, cell);
       case ValueOrder::kProfileProbability:
-        return profile_share(cell, constrained_ids);
+        return share(shares, i);
       case ValueOrder::kCombinedProbability:
-        return event_mass(attribute, cell.interval) *
-               profile_share(cell, constrained_ids);
+        return event_mass(attribute, cell) * share(shares, i);
     }
     return 0.0;
   }
@@ -205,19 +107,178 @@ class TreeBuilder {
     return marginals_[attribute].mass(iv);
   }
 
+  static double share(std::span<const double> shares, std::size_t i) {
+    GENAS_CHECK(i < shares.size(), "profile share missing for ordering key");
+    return shares[i];
+  }
+
+  const TreeConfig& config_;
+  std::vector<DiscreteDistribution> marginals_;
+  CellLayout layout_;  // scratch reused across nodes
+};
+
+/// Builds the DFSA depth-first. Nodes are memoized on (level, alive set)
+/// through the additive set hash; a hit is confirmed by a merge-walk against
+/// the stored set, and a child's alive set is materialized only on a miss.
+class TreeBuilder {
+ public:
+  TreeBuilder(const ProfileSet& profiles, const TreeConfig& config)
+      : profiles_(profiles),
+        schema_(*profiles.schema()),
+        config_(config),
+        ranker_(profiles.schema(), config) {}
+
+  std::int32_t run(std::vector<ProfileId> alive, std::vector<ProfileTree::Node>& nodes,
+                   std::vector<ProfileTree::Leaf>& leaves, TreeBuildStats& stats) {
+    nodes_ = &nodes;
+    leaves_ = &leaves;
+    stats_ = &stats;
+    memo_.resize(order().size() + 1);
+    if (alive.empty()) return ProfileTree::kMiss;
+    std::uint64_t hash = 0;
+    for (const ProfileId id : alive) hash += profile_key(id);
+    return build_slot(0, std::move(alive), hash);
+  }
+
+ private:
+  std::int32_t build_slot(std::size_t level, std::vector<ProfileId> alive,
+                          std::uint64_t hash) {
+    GENAS_CHECK(!alive.empty(), "build_slot requires a non-empty alive set");
+    const std::int32_t slot = level == order().size()
+                                  ? build_leaf(std::move(alive))
+                                  : build_node(level, std::move(alive));
+    memo_[level].emplace(hash, slot);
+    return slot;
+  }
+
+  /// Slot of the child whose alive set is `dont_care` ∪ {ids[c] : c ∈
+  /// accepters}; both parts are sorted and disjoint.
+  std::int32_t child_slot(std::size_t level, const std::vector<ProfileId>& dont_care,
+                          std::uint64_t dont_care_hash,
+                          const std::vector<ProfileId>& ids,
+                          const std::vector<std::uint32_t>& accepters) {
+    std::uint64_t hash = dont_care_hash;
+    for (const std::uint32_t c : accepters) hash += profile_key(ids[c]);
+    const auto [first, last] = memo_[level].equal_range(hash);
+    for (auto it = first; it != last; ++it) {
+      if (same_set(alive_of(it->second), dont_care, ids, accepters)) {
+        ++stats_->memo_hits;
+        return it->second;
+      }
+    }
+    std::vector<ProfileId> alive;
+    alive.reserve(dont_care.size() + accepters.size());
+    auto d = dont_care.begin();
+    for (const std::uint32_t c : accepters) {
+      for (; d != dont_care.end() && *d < ids[c]; ++d) alive.push_back(*d);
+      alive.push_back(ids[c]);
+    }
+    alive.insert(alive.end(), d, dont_care.end());
+    return build_slot(level, std::move(alive), hash);
+  }
+
+  /// True when `stored` equals the merge of `dont_care` and the accepted ids.
+  static bool same_set(const std::vector<ProfileId>& stored,
+                       const std::vector<ProfileId>& dont_care,
+                       const std::vector<ProfileId>& ids,
+                       const std::vector<std::uint32_t>& accepters) {
+    if (stored.size() != dont_care.size() + accepters.size()) return false;
+    std::size_t d = 0;
+    std::size_t a = 0;
+    for (const ProfileId id : stored) {
+      const bool take_dont_care =
+          d < dont_care.size() &&
+          (a == accepters.size() || dont_care[d] < ids[accepters[a]]);
+      const ProfileId next = take_dont_care ? dont_care[d++] : ids[accepters[a++]];
+      if (next != id) return false;
+    }
+    return true;
+  }
+
+  const std::vector<ProfileId>& alive_of(std::int32_t slot) const {
+    return ProfileTree::is_leaf_ref(slot)
+               ? (*leaves_)[ProfileTree::leaf_index(slot)].matched
+               : node_alive_[static_cast<std::size_t>(slot)];
+  }
+
+  std::int32_t build_node(std::size_t level, std::vector<ProfileId> alive) {
+    const AttributeId attribute = order()[level];
+    const Domain& domain = schema_.attribute(attribute).domain;
+
+    // Split the alive set into profiles constraining this attribute and
+    // don't-care profiles (which flow into every cell).
+    std::vector<ProfileId> constrained_ids;
+    std::vector<const IntervalSet*> constraints;
+    std::vector<ProfileId> dont_care;
+    std::uint64_t dont_care_hash = 0;
+    for (const ProfileId id : alive) {
+      const Predicate* predicate = profiles_.profile(id).predicate(attribute);
+      if (predicate != nullptr) {
+        constrained_ids.push_back(id);
+        constraints.push_back(&predicate->accepted());
+      } else {
+        dont_care.push_back(id);
+        dont_care_hash += profile_key(id);
+      }
+    }
+
+    const Decomposition decomp = decompose(domain.full(), constraints);
+    const std::size_t cell_count = decomp.cells.size();
+    const bool weighted = config_.value_order == ValueOrder::kProfileProbability ||
+                          config_.value_order == ValueOrder::kCombinedProbability;
+    std::vector<double> shares;
+    double total_weight = 0.0;
+    if (weighted) {
+      shares.reserve(cell_count);
+      for (const ProfileId id : constrained_ids) total_weight += profiles_.weight(id);
+    }
+
+    ProfileTree::Node node;
+    node.attribute = attribute;
+    node.cells.reserve(cell_count);
+    node.child.reserve(cell_count);
+    for (const Cell& cell : decomp.cells) {
+      const bool edge = !dont_care.empty() || !cell.accepters.empty();
+      node.cells.push_back(cell.interval);
+      node.child.push_back(edge ? child_slot(level + 1, dont_care, dont_care_hash,
+                                             constrained_ids, cell.accepters)
+                                : ProfileTree::kMiss);
+      if (edge) ++stats_->edge_count;
+      if (weighted) {
+        shares.push_back(profile_share(cell, constrained_ids, total_weight));
+      }
+    }
+    ranker_.rank(node, shares);
+
+    stats_->cell_count += cell_count;
+    stats_->max_node_width = std::max(stats_->max_node_width, cell_count);
+    ++stats_->node_count;
+
+    const auto index = static_cast<std::int32_t>(nodes_->size());
+    nodes_->push_back(std::move(node));
+    node_alive_.push_back(std::move(alive));
+    return index;
+  }
+
+  std::int32_t build_leaf(std::vector<ProfileId> alive) {
+    const std::int32_t ref = ProfileTree::make_leaf_ref(leaves_->size());
+    leaves_->push_back(ProfileTree::Leaf{std::move(alive)});
+    ++stats_->leaf_count;
+    return ref;
+  }
+
   /// P_p(x_i): priority-weighted share of constraining profiles that
   /// reference this cell (every profile weighs 1.0 unless the application
   /// raised its priority).
   double profile_share(const Cell& cell,
-                       const std::vector<ProfileId>& constrained_ids) const {
+                       const std::vector<ProfileId>& constrained_ids,
+                       double total_weight) const {
     if (constrained_ids.empty()) return 0.0;
-    double total = 0.0;
-    for (const ProfileId id : constrained_ids) total += profiles_.weight(id);
     double referenced = 0.0;
     for (const std::uint32_t c : cell.accepters) {
       referenced += profiles_.weight(constrained_ids[c]);
     }
-    return total > 0.0 ? referenced / total : 0.0;
+    return total_weight > 0.0 ? referenced / total_weight : 0.0;
   }
 
   const std::vector<AttributeId>& order() const noexcept {
@@ -227,24 +288,23 @@ class TreeBuilder {
   const ProfileSet& profiles_;
   const Schema& schema_;
   const TreeConfig& config_;
-  std::vector<DiscreteDistribution> marginals_;
+  NodeRanker ranker_;
 
   std::vector<ProfileTree::Node>* nodes_ = nullptr;
   std::vector<ProfileTree::Leaf>* leaves_ = nullptr;
   TreeBuildStats* stats_ = nullptr;
-  std::unordered_map<MemoKey, std::int32_t, MemoKeyHash> memo_;
-  std::unordered_map<std::vector<ProfileId>, std::int32_t, ProfileVecHash>
-      leaf_memo_;
+  /// Per level: set hash -> slot. Level order().size() holds the leaves.
+  std::vector<std::unordered_multimap<std::uint64_t, std::int32_t>> memo_;
+  /// Alive set of each built node, indexed like nodes_ (leaves keep theirs
+  /// in Leaf::matched).
+  std::vector<std::vector<ProfileId>> node_alive_;
 };
 
 }  // namespace
 
 ProfileTree ProfileTree::build(const ProfileSet& profiles, TreeConfig config) {
   const std::size_t n = profiles.schema()->attribute_count();
-  if (config.attribute_order.empty()) {
-    config.attribute_order.resize(n);
-    for (std::size_t j = 0; j < n; ++j) config.attribute_order[j] = j;
-  }
+  config.attribute_order = resolve_order(std::move(config.attribute_order), n);
   GENAS_REQUIRE(config.attribute_order.size() == n, ErrorCode::kInvalidArgument,
                 "attribute order must cover every schema attribute");
   std::vector<bool> seen(n, false);
@@ -264,6 +324,24 @@ ProfileTree ProfileTree::build(const ProfileSet& profiles, TreeConfig config) {
   TreeBuilder builder(profiles, config);
   tree.root_ = builder.run(profiles.active_ids(), tree.nodes_, tree.leaves_,
                            tree.stats_);
+  tree.config_ = std::move(config);
+  return tree;
+}
+
+bool ProfileTree::rerankable(const TreeConfig& config) const {
+  return keyed_by_interval(config.value_order) &&
+         resolve_order(config.attribute_order, schema_->attribute_count()) ==
+             config_.attribute_order;
+}
+
+ProfileTree ProfileTree::rerank(TreeConfig config) const {
+  GENAS_REQUIRE(rerankable(config), ErrorCode::kInvalidArgument,
+                "rerank needs the tree's attribute order and a value order "
+                "keyed by cell interval and P_e");
+  config.attribute_order = config_.attribute_order;
+  ProfileTree tree = *this;
+  NodeRanker ranker(schema_, config);
+  for (Node& node : tree.nodes_) ranker.rank(node, {});
   tree.config_ = std::move(config);
   return tree;
 }

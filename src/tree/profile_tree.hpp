@@ -7,7 +7,9 @@
 // every cell (the '*' / '(*)' edges of the paper's Fig. 1), so matching an
 // event follows exactly one root-to-leaf path. Nodes are memoized on
 // (level, alive-profile-set): structurally identical subtrees are shared,
-// which keeps 10,000-profile trees tractable.
+// which keeps 10,000-profile trees tractable. The memo looks a set up by an
+// additive hash (a fixed key per profile id, summed), so a child's set is
+// materialized only when it is new.
 //
 // Distribution awareness enters in two places (paper §4.1):
 //   * the attribute order (TreeConfig::attribute_order — computed by the
@@ -15,6 +17,11 @@
 //   * the per-node value order (TreeConfig::value_order — natural, V1
 //     event-probability, V2 profile-probability, V3 combined) together with
 //     the search strategy (linear/binary/interpolation/hash).
+//
+// The value order only ranks a node's cells; it never changes the shape.
+// rerank() re-plans the ranks of a built tree under a new P_e, which is how
+// the adaptive loop restructures when neither profiles nor attribute order
+// moved.
 //
 // The tree is immutable after build(); matching is allocation-free,
 // noexcept, and thread-safe.
@@ -46,6 +53,15 @@ std::string_view to_string(ValueOrder order) noexcept;
 constexpr bool needs_event_distribution(ValueOrder order) noexcept {
   return order == ValueOrder::kEventProbability ||
          order == ValueOrder::kCombinedProbability;
+}
+
+/// True when a cell's scan key needs only the cell's interval and P_e
+/// (natural orders and V1), so a built tree can be re-ranked in place of a
+/// rebuild (ProfileTree::rerank).
+constexpr bool keyed_by_interval(ValueOrder order) noexcept {
+  return order == ValueOrder::kNaturalAscending ||
+         order == ValueOrder::kNaturalDescending ||
+         order == ValueOrder::kEventProbability;
 }
 
 /// Build-time configuration of a profile tree.
@@ -111,6 +127,17 @@ class ProfileTree {
   /// Builds the tree over the currently active profiles. Throws on invalid
   /// configuration (bad permutation, missing event distribution for V1/V3).
   static ProfileTree build(const ProfileSet& profiles, TreeConfig config);
+
+  /// True when rerank(config) applies: the value order is keyed_by_interval
+  /// and the attribute order (empty = schema order) equals this tree's.
+  bool rerankable(const TreeConfig& config) const;
+
+  /// The tree build() would return for the same profile set under `config`,
+  /// without rebuilding: cells, children and leaves are copied, and only
+  /// each node's cost and scan_rank are re-planned. The tree's shape depends
+  /// on the profiles and the attribute order alone, so this holds whenever
+  /// rerankable(config). Throws kInvalidArgument otherwise.
+  ProfileTree rerank(TreeConfig config) const;
 
   /// Matches one event along the single DFSA path.
   TreeMatch match(const Event& event) const noexcept;

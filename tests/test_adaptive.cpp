@@ -1,6 +1,8 @@
 // Tests for the adaptive controller: drift detection, cooldown, rebuilds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/adaptive_filter.hpp"
 #include "dist/sampler.hpp"
 #include "test_util.hpp"
@@ -56,6 +58,49 @@ TEST(AdaptiveController, DriftTriggersRebuildAfterRegimeChange) {
   controller.mark_rebuilt(controller.estimate());
   EXPECT_EQ(controller.rebuilds(), 2u);
   EXPECT_FALSE(controller.should_rebuild());  // cooldown + low drift
+}
+
+TEST(AdaptiveController, DriftEqualsL1OfTheMaterializedEstimateExactly) {
+  // drift() folds the estimate into the L1 sum without building it; it must
+  // agree to the last bit with the materialized form, or rebuild points
+  // (and so ops/event) would move. decay 0.95 over 6,000 events also crosses
+  // the histogram's lazy renormalization.
+  const SchemaPtr schema = schema2();
+  AdaptiveOptions options;
+  options.decay = 0.95;
+  options.smoothing = 0.3;
+  AdaptiveController controller(schema, options);
+  const auto reference_drift = [&](const JointDistribution& baseline) {
+    const JointDistribution estimate = controller.estimate();
+    double worst = 0.0;
+    for (AttributeId id = 0; id < schema->attribute_count(); ++id) {
+      worst = std::max(worst, DiscreteDistribution::l1_distance(
+                                  estimate.marginal(id), baseline.marginal(id)));
+    }
+    return worst;
+  };
+
+  // A mixture baseline: its marginals are re-normalized mixtures.
+  std::vector<DiscreteDistribution> low;
+  std::vector<DiscreteDistribution> high;
+  for (AttributeId id = 0; id < schema->attribute_count(); ++id) {
+    low.push_back(peak_joint(schema, false).marginal(id));
+    high.push_back(peak_joint(schema, true).marginal(id));
+  }
+  JointDistribution baseline =
+      JointDistribution::mixture(schema, {low, high}, {0.3, 0.7});
+  controller.mark_rebuilt(baseline);
+  std::vector<Event> stream = event_stream(peak_joint(schema, false), 3000, 5);
+  const std::vector<Event> second = event_stream(peak_joint(schema, true), 3000, 6);
+  stream.insert(stream.end(), second.begin(), second.end());
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    controller.observe(stream[i]);
+    if (i == 2000) {
+      baseline = controller.estimate();
+      controller.mark_rebuilt(baseline);
+    }
+    ASSERT_EQ(controller.drift(), reference_drift(baseline)) << "event " << i;
+  }
 }
 
 TEST(AdaptiveController, CooldownSuppressesThrashing) {

@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/filter_engine.hpp"
 #include "dist/sampler.hpp"
 #include "dist/shapes.hpp"
+#include "reference_tree.hpp"
 #include "test_util.hpp"
 
 namespace genas {
@@ -203,6 +205,157 @@ TEST_F(FilterEngineTest, MatchBatchFeedsAdaptiveLoop) {
   EXPECT_TRUE(rebuilt);  // batch observations drive the first optimization
   ASSERT_NE(engine.adaptive(), nullptr);
   EXPECT_EQ(engine.adaptive()->observations(), 4u * 256u);
+}
+
+// --- Rank-only versus full rebuilds ------------------------------------
+
+/// Two-attribute system whose event stream flips between two regimes.
+class RebuildPathTest : public ::testing::Test {
+ protected:
+  SchemaPtr schema_ = SchemaBuilder()
+                          .add_integer("x", 0, 49)
+                          .add_integer("y", 0, 49)
+                          .build();
+
+  static EngineOptions adaptive_options(ValueOrder order) {
+    EngineOptions options;
+    options.policy.value_order = order;
+    options.policy.attribute_measure = AttributeMeasure::kA2;
+    AdaptiveOptions adaptive;
+    adaptive.min_observations = 200;
+    adaptive.rebuild_cooldown = 200;
+    adaptive.drift_threshold = 0.3;
+    adaptive.decay = 0.99;
+    options.adaptive = adaptive;
+    return options;
+  }
+
+  /// Profiles on x, y in [15, 34]; with `dont_cares`, every third profile
+  /// ignores x and every third (offset) ignores y, so D_0 = ∅ on both.
+  void subscribe_profiles(FilterEngine& engine, bool dont_cares) {
+    Rng rng(17);
+    for (int i = 0; i < 60; ++i) {
+      ProfileBuilder builder(schema_);
+      const std::int64_t lo = 15 + static_cast<std::int64_t>(rng.below(15));
+      const std::int64_t hi = lo + static_cast<std::int64_t>(rng.below(35 - lo));
+      if (!dont_cares || i % 3 != 0) builder.between("x", lo, hi);
+      if (!dont_cares || i % 3 != 1) builder.between("y", 34 - (hi - 15), 34 - (lo - 15));
+      engine.subscribe(builder.build());
+    }
+  }
+
+  /// Regime `phase`: one attribute sits in the unreferenced low band, the
+  /// other in the referenced middle; the next phase swaps them.
+  std::vector<Event> regime_events(int phase, std::size_t count) const {
+    const DiscreteDistribution outside = shapes::percent_peak(50, 0.95, false, 0.2);
+    const DiscreteDistribution inside = shapes::gauss(50, 0.5, 0.08);
+    const auto joint = phase % 2 == 0
+                           ? JointDistribution::independent(schema_, {outside, inside})
+                           : JointDistribution::independent(schema_, {inside, outside});
+    return testutil::event_stream(joint, count, 100 + static_cast<std::uint64_t>(phase));
+  }
+
+  struct Rebuilds {
+    std::size_t rank_only = 0;
+    std::size_t full = 0;
+    std::size_t full_with_new_order = 0;
+  };
+
+  /// Matches `events`; after every adaptive rebuild checks the live tree
+  /// against a fresh build under the distribution the engine rebuilt for,
+  /// and tallies whether the rebuild was rank-only or full.
+  static Rebuilds drive(FilterEngine& engine, const std::vector<Event>& events) {
+    Rebuilds seen;
+    std::vector<AttributeId> order = engine.tree().config().attribute_order;
+    for (const Event& event : events) {
+      const std::uint64_t full_before = engine.full_build_count();
+      if (!engine.match(event).rebuilt) continue;
+      const ProfileTree& tree = engine.tree();
+      testutil::expect_same_tree(
+          tree, build_tree(engine.profiles(), engine.policy(),
+                           engine.adaptive()->estimate()));
+      const bool reordered = tree.config().attribute_order != order;
+      if (engine.full_build_count() == full_before) {
+        ++seen.rank_only;
+        EXPECT_FALSE(reordered) << "a rank-only rebuild kept a stale order";
+      } else {
+        ++seen.full;
+        if (reordered) ++seen.full_with_new_order;
+      }
+      order = tree.config().attribute_order;
+    }
+    return seen;
+  }
+};
+
+TEST_F(RebuildPathTest, ShapePreservingDriftRebuildsRankOnly) {
+  FilterEngine engine(schema_, adaptive_options(ValueOrder::kEventProbability));
+  subscribe_profiles(engine, true);
+  engine.rebuild();
+  const std::uint64_t full_at_start = engine.full_build_count();
+  Rebuilds seen;
+  for (int phase = 0; phase < 4; ++phase) {
+    const Rebuilds part = drive(engine, regime_events(phase, 1500));
+    seen.rank_only += part.rank_only;
+    seen.full += part.full;
+  }
+  EXPECT_GE(seen.rank_only, 4u);
+  EXPECT_EQ(seen.full, 0u);
+  EXPECT_EQ(engine.full_build_count(), full_at_start);
+  EXPECT_EQ(engine.rebuild_count(), full_at_start + seen.rank_only);
+}
+
+TEST_F(RebuildPathTest, AttributeReorderTakesTheFullPath) {
+  // Without don't-cares D_0 is the unreferenced band on both attributes,
+  // and A2 follows the event mass there from x to y and back.
+  FilterEngine engine(schema_, adaptive_options(ValueOrder::kEventProbability));
+  subscribe_profiles(engine, false);
+  Rebuilds seen;
+  for (int phase = 0; phase < 4; ++phase) {
+    const Rebuilds part = drive(engine, regime_events(phase, 1500));
+    seen.rank_only += part.rank_only;
+    seen.full += part.full;
+    seen.full_with_new_order += part.full_with_new_order;
+  }
+  EXPECT_GE(seen.full_with_new_order, 2u);
+  EXPECT_EQ(seen.full, seen.full_with_new_order)
+      << "a full rebuild with unchanged order and profiles";
+}
+
+TEST_F(RebuildPathTest, CombinedOrderAlwaysBuildsAfresh) {
+  FilterEngine engine(schema_, adaptive_options(ValueOrder::kCombinedProbability));
+  subscribe_profiles(engine, true);
+  Rebuilds seen;
+  for (int phase = 0; phase < 3; ++phase) {
+    const Rebuilds part = drive(engine, regime_events(phase, 1500));
+    seen.rank_only += part.rank_only;
+    seen.full += part.full;
+  }
+  EXPECT_GE(seen.full, 3u);
+  EXPECT_EQ(seen.rank_only, 0u);
+}
+
+TEST_F(RebuildPathTest, SubscribeForcesTheFullPath) {
+  FilterEngine engine(schema_, adaptive_options(ValueOrder::kEventProbability));
+  subscribe_profiles(engine, true);
+  const Rebuilds warm = drive(engine, regime_events(0, 1500));
+  EXPECT_GE(warm.rank_only, 1u);
+
+  // An explicit rebuild right after a subscribe sees a live tree from the
+  // old profile set: it must build afresh and include the new profile.
+  const ProfileId added = engine.subscribe("x = 3");
+  const std::uint64_t full_before = engine.full_build_count();
+  engine.rebuild();
+  EXPECT_EQ(engine.full_build_count(), full_before + 1);
+  testutil::expect_same_tree(
+      engine.tree(), build_tree(engine.profiles(), engine.policy(),
+                                engine.effective_distribution()));
+  EXPECT_EQ(engine.match(Event::from_indices(schema_, {3, 0})).matched,
+            (std::vector<ProfileId>{added}));
+
+  const Rebuilds after = drive(engine, regime_events(1, 1500));
+  EXPECT_GE(after.rank_only, 1u);
+  EXPECT_EQ(after.full, 0u);
 }
 
 TEST_F(FilterEngineTest, Validation) {

@@ -245,6 +245,57 @@ TEST(ObsBroker, SampledLatenciesFitTheWallClockEnvelope) {
   EXPECT_GE(delivery->sum, match->sum);  // delivery spans match
 }
 
+TEST(ObsBroker, AdaptiveRebuildPausesAndFullBuildsAreExported) {
+  // Every rebuild, snapshot or adaptive, records one pause; only a build
+  // from scratch counts as a full tree build. V1 in schema order keeps the
+  // tree's shape, so drift rebuilds re-rank until a subscribe changes the
+  // profile set.
+  const SchemaPtr schema = testutil::example1_schema();
+  EngineOptions options;
+  options.policy.value_order = ValueOrder::kEventProbability;
+  AdaptiveOptions adaptive;
+  adaptive.min_observations = 64;
+  adaptive.rebuild_cooldown = 64;
+  adaptive.decay = 0.98;
+  options.adaptive = adaptive;
+  Broker broker(schema, options);
+  broker.subscribe("temperature >= 35", [](const Notification&) {});
+  broker.subscribe("temperature <= -10 && humidity >= 50",
+                   [](const Notification&) {});
+
+  const auto publish_drift = [&](std::uint64_t seed) {
+    for (const bool high : {true, false, true, false}) {
+      for (const Event& event :
+           testutil::event_stream(testutil::peak_joint(schema, high), 400, seed++)) {
+        broker.publish(event);
+      }
+    }
+  };
+  const auto value = [&](std::string_view name) {
+    return broker.metrics().snapshot().value(name);
+  };
+  const auto pauses = [&] {
+    const obs::StatsSnapshot snapshot = broker.metrics().snapshot();
+    const obs::MetricSnapshot* pause = snapshot.find("genas_broker_rebuild_pause_ns");
+    return pause == nullptr ? std::uint64_t{0} : pause->count();
+  };
+
+  publish_drift(1);
+  const std::int64_t drift_rebuilds = value("genas_broker_adaptive_rebuilds_total");
+  EXPECT_GE(drift_rebuilds, 3);
+  EXPECT_EQ(pauses(), static_cast<std::uint64_t>(
+                          value("genas_broker_snapshot_rebuilds_total") + drift_rebuilds));
+  EXPECT_EQ(value("genas_broker_full_tree_builds_total"), 1);  // the first snapshot
+
+  broker.subscribe("humidity >= 90", [](const Notification&) {});
+  publish_drift(11);
+  EXPECT_GT(value("genas_broker_adaptive_rebuilds_total"), drift_rebuilds);
+  EXPECT_EQ(pauses(), static_cast<std::uint64_t>(
+                          value("genas_broker_snapshot_rebuilds_total") +
+                          value("genas_broker_adaptive_rebuilds_total")));
+  EXPECT_EQ(value("genas_broker_full_tree_builds_total"), 2);
+}
+
 TEST(ObsBroker, CompositeMetricsTrackDetection) {
   const SchemaPtr schema = testutil::example1_schema();
   Broker broker(schema);
