@@ -52,25 +52,32 @@ JointDistribution FilterEngine::effective_distribution() const {
 
 void FilterEngine::rebuild_locked(const JointDistribution& distribution) {
   const std::uint64_t start = obs::now_ns();
-  // Re-rank the live tree when only the ranking can have changed: same
-  // profile set, same attribute order, and a value order whose scan keys
-  // read nothing but cell intervals and P_e. Anything else builds afresh.
+  // Swap the cost slab when only the ranking can have changed: same profile
+  // set, same attribute order, and a value order whose scan keys read
+  // nothing but cell intervals and P_e. Anything else builds afresh.
   TreeConfig config = make_tree_config(profiles_, options_.policy, distribution);
-  const ProfileTree* live = snapshot_ != nullptr ? snapshot_->tree.get() : nullptr;
+  const FlatProfileTree* live =
+      snapshot_ != nullptr ? snapshot_->flat.get() : nullptr;
   const bool rank_only = live != nullptr &&
                          live->source_version() == profiles_.version() &&
                          live->rerankable(config);
   // Build off to the side, then swap the snapshot pointer in one shot: a
   // caller holding the previous snapshot keeps matching against it.
-  auto tree = std::make_shared<const ProfileTree>(
-      rank_only ? live->rerank(std::move(config))
-                : ProfileTree::build(profiles_, std::move(config)));
-  auto flat = std::make_shared<const FlatProfileTree>(
-      FlatProfileTree::compile(*tree));
-  snapshot_ = std::make_shared<const MatchSnapshot>(
-      MatchSnapshot{std::move(tree), std::move(flat)});
+  if (rank_only) {
+    snapshot_ = std::make_shared<const MatchSnapshot>(MatchSnapshot{
+        nullptr, std::make_shared<const FlatProfileTree>(live->rerank(config))});
+  } else {
+    auto tree = std::make_shared<const ProfileTree>(
+        ProfileTree::build(profiles_, config));
+    auto flat =
+        std::make_shared<const FlatProfileTree>(FlatProfileTree::compile(*tree));
+    snapshot_ = std::make_shared<const MatchSnapshot>(
+        MatchSnapshot{std::move(tree), std::move(flat)});
+    ++full_build_count_;
+  }
+  config_ = std::move(config);
+  ranked_.reset();
   ++rebuild_count_;
-  if (!rank_only) ++full_build_count_;
   if (adaptive_.has_value()) adaptive_->mark_rebuilt(distribution);
   last_rebuild_ns_ = obs::now_ns() - start;
 }
@@ -79,14 +86,19 @@ void FilterEngine::rebuild() { rebuild_locked(effective_distribution()); }
 
 void FilterEngine::ensure_fresh() {
   if (snapshot_ == nullptr ||
-      snapshot_->tree->source_version() != profiles_.version()) {
+      snapshot_->flat->source_version() != profiles_.version()) {
     rebuild();
   }
 }
 
 const ProfileTree& FilterEngine::tree() {
   ensure_fresh();
-  return *snapshot_->tree;
+  if (snapshot_->tree != nullptr) return *snapshot_->tree;
+  if (ranked_ == nullptr) {
+    ranked_ = std::make_unique<const ProfileTree>(
+        ProfileTree::build(profiles_, config_));
+  }
+  return *ranked_;
 }
 
 std::shared_ptr<const MatchSnapshot> FilterEngine::snapshot() {
@@ -94,14 +106,12 @@ std::shared_ptr<const MatchSnapshot> FilterEngine::snapshot() {
   return snapshot_;
 }
 
-bool FilterEngine::observe_adaptive(const Event& event) {
+bool FilterEngine::observe(std::span<const Event> events) {
   if (!adaptive_.has_value()) return false;
-  adaptive_->observe(event);
-  if (adaptive_->should_rebuild()) {
-    rebuild_locked(adaptive_->estimate());
-    return true;
-  }
-  return false;
+  for (const Event& event : events) adaptive_->observe(event);
+  if (!adaptive_->should_rebuild()) return false;
+  rebuild_locked(adaptive_->estimate());
+  return true;
 }
 
 EngineMatch FilterEngine::match(const Event& event) {
@@ -113,9 +123,7 @@ EngineMatch FilterEngine::match(const Event& event) {
   const FlatMatch result = snapshot_->flat->match(event);
   outcome.operations = result.operations;
   outcome.matched.assign(result.matched, result.matched + result.matched_count);
-  ++events_matched_;
-
-  outcome.rebuilt = observe_adaptive(event);
+  outcome.rebuilt = observe({&event, 1});
   return outcome;
 }
 
@@ -136,34 +144,25 @@ EngineBatchMatch FilterEngine::match_batch(std::span<const Event> events,
   }
   ensure_fresh();
 
-  // One snapshot serves the whole batch; the shared_ptr keeps the posting
-  // slabs alive even if the deferred adaptive rebuild below swaps snapshot_.
-  const std::shared_ptr<const MatchSnapshot> snapshot = snapshot_;
+  // One snapshot serves the whole batch; the adaptive controller observes
+  // every event, but a drift rebuild is deferred to the batch boundary so
+  // the batch matches one consistent tree.
+  const FlatProfileTree& flat = *snapshot_->flat;
   for (const Event& event : events) {
-    const FlatMatch result = snapshot->flat->match(event);
+    const FlatMatch result = flat.match(event);
     outcome.operations += result.operations;
     if (result.matched_count > 0) ++outcome.matched_events;
     matched.insert(matched.end(), result.matched,
                    result.matched + result.matched_count);
     offsets.push_back(matched.size());
   }
-  events_matched_ += events.size();
-
-  // The adaptive controller observes every event, but a drift rebuild is
-  // deferred to the batch boundary so the batch matches one consistent tree.
-  if (adaptive_.has_value()) {
-    for (const Event& event : events) adaptive_->observe(event);
-    if (adaptive_->should_rebuild()) {
-      rebuild_locked(adaptive_->estimate());
-      outcome.rebuilt = true;
-    }
-  }
+  outcome.rebuilt = observe(events);
   return outcome;
 }
 
 void FilterEngine::set_policy(OrderingPolicy policy) {
   options_.policy = std::move(policy);
-  snapshot_.reset();  // force rebuild on next use
+  snapshot_.reset();  // force a full rebuild on next use
 }
 
 }  // namespace genas

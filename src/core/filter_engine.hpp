@@ -7,16 +7,17 @@
 // an explicit rebuild()) refreshes it.
 //
 // A rebuild with an unchanged profile set and attribute order under natural
-// or V1 value ordering only re-ranks the live tree's cells under the new
-// distribution (ProfileTree::rerank); any other rebuild builds the tree
-// afresh.
+// or V1 value ordering is rank-only: it swaps the flat tree's cost slab
+// (FlatProfileTree::rerank) and keeps the shape of the latest full build.
+// Any other rebuild builds the tree afresh.
 //
-// Every rebuild produces an immutable MatchSnapshot: the node-form tree
-// (build / expected-cost / dump representation) plus its FlatProfileTree
-// compilation (the cache-friendly hot match path). snapshot() hands the
+// Every rebuild produces an immutable MatchSnapshot around its
+// FlatProfileTree (the cache-friendly hot match path). snapshot() hands the
 // current one out as a shared_ptr, so a caller can keep matching against a
 // consistent tree while the engine mutates and rebuilds off to the side —
-// this is what the broker's lock-free publish path is built on.
+// this is what the broker's lock-free publish path is built on. A
+// rank-only snapshot carries no node-form tree (expected cost, dumps);
+// tree() builds it for the current configuration only when asked.
 //
 // Thread-safety: FilterEngine itself is single-threaded by design (callers
 // serialize mutations); but a MatchSnapshot, once obtained, is immutable and
@@ -64,10 +65,12 @@ struct EngineBatchMatch {
   bool rebuilt = false;  ///< the batch triggered an adaptive rebuild
 };
 
-/// Immutable (tree, flat tree) pair produced by one rebuild. Matching
-/// against it is thread-safe and allocation-free; `flat->match()` results
-/// point into the snapshot, so hold the shared_ptr while using them.
+/// Immutable product of one rebuild. Matching against it is thread-safe and
+/// allocation-free; `flat->match()` results point into the snapshot, so
+/// hold the shared_ptr while using them.
 struct MatchSnapshot {
+  /// Node form of a full build; null on a rank-only rebuild's snapshot
+  /// (FilterEngine::tree() builds the node form on demand).
   std::shared_ptr<const ProfileTree> tree;
   std::shared_ptr<const FlatProfileTree> flat;
 };
@@ -105,6 +108,11 @@ class FilterEngine {
                                std::vector<ProfileId>& matched,
                                std::vector<std::size_t>& offsets);
 
+  /// Folds events the caller matched against a snapshot into the adaptive
+  /// controller, then rebuilds once if drift demands it. Returns true when
+  /// it rebuilt; always false without the adaptive loop.
+  bool observe(std::span<const Event> events);
+
   /// Forces an immediate rebuild against the best-known distribution.
   void rebuild();
 
@@ -116,7 +124,9 @@ class FilterEngine {
   /// estimate when available, else the prior, else uniform.
   JointDistribution effective_distribution() const;
 
-  /// Current tree (rebuilds first if stale).
+  /// Current node-form tree (rebuilds first if stale). After a rank-only
+  /// rebuild this builds it for the current configuration, once per
+  /// rebuild; the reference lives until the next rebuild.
   const ProfileTree& tree();
 
   /// Current immutable snapshot (rebuilds first if stale). Never null. The
@@ -125,41 +135,40 @@ class FilterEngine {
   std::shared_ptr<const MatchSnapshot> snapshot();
 
   std::uint64_t rebuild_count() const noexcept { return rebuild_count_; }
-  /// Rebuilds that built the tree from scratch. The others re-ranked the
-  /// live tree (ProfileTree::rerank): the profile set and attribute order
+  /// Rebuilds that built the tree from scratch. The others swapped the cost
+  /// slab (FlatProfileTree::rerank): the profile set and attribute order
   /// were unchanged and the value order is keyed by cell interval and P_e.
   std::uint64_t full_build_count() const noexcept { return full_build_count_; }
-  /// Wall time of the latest rebuild (tree, flat compile, snapshot swap);
+  /// Wall time of the latest rebuild (tree or cost slab, snapshot swap);
   /// read it after a call that reported a rebuild.
   std::uint64_t last_rebuild_ns() const noexcept { return last_rebuild_ns_; }
-  std::uint64_t events_matched() const noexcept { return events_matched_; }
 
   /// Adaptive controller, when enabled (for diagnostics).
   const AdaptiveController* adaptive() const noexcept {
     return adaptive_ ? &*adaptive_ : nullptr;
   }
 
-  /// True when the adaptive loop is enabled — matching then mutates the
+  /// True when the adaptive loop is enabled — observe() then mutates the
   /// drift estimator, so callers that share the engine across threads must
-  /// serialize match() as well (the broker checks exactly this).
+  /// serialize it (the broker does, once per publish call).
   bool adaptive_enabled() const noexcept { return adaptive_.has_value(); }
 
  private:
   void ensure_fresh();
   void rebuild_locked(const JointDistribution& distribution);
-  /// Feeds one event to the adaptive controller; returns true when drift
-  /// triggered a rebuild.
-  bool observe_adaptive(const Event& event);
 
   SchemaPtr schema_;
   EngineOptions options_;
   ProfileSet profiles_;
   std::optional<AdaptiveController> adaptive_;
   std::shared_ptr<const MatchSnapshot> snapshot_;
+  /// Configuration of the latest rebuild, and its node form once tree()
+  /// has built it after a rank-only rebuild.
+  TreeConfig config_;
+  std::unique_ptr<const ProfileTree> ranked_;
   std::uint64_t rebuild_count_ = 0;
   std::uint64_t full_build_count_ = 0;
   std::uint64_t last_rebuild_ns_ = 0;
-  std::uint64_t events_matched_ = 0;
 };
 
 }  // namespace genas

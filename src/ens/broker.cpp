@@ -81,7 +81,7 @@ void Broker::register_metrics() {
                                    "adaptive-engine tree rebuilds");
   full_tree_builds_ = reg.counter("genas_broker_full_tree_builds_total",
                                   "tree rebuilds built from scratch "
-                                  "(the rest re-ranked the live tree)");
+                                  "(the rest swapped the cost slab)");
   match_latency_ = reg.histogram("genas_broker_match_latency_ns", latency,
                                  "sampled publish->match latency");
   delivery_latency_ = reg.histogram("genas_broker_delivery_latency_ns",
@@ -497,6 +497,29 @@ std::shared_ptr<const Broker::Snapshot> Broker::acquire_snapshot(
   return slot->snapshot;
 }
 
+bool Broker::observe_adaptive(std::span<const Event> events) {
+  const std::scoped_lock lock(mutex_);
+  const std::uint64_t full_before = engine_.full_build_count();
+  if (!engine_.observe(events)) return false;
+  // The engine timed its own rebuild, so a publish that does not rebuild
+  // reads no clock here.
+  adaptive_rebuilds_.add(1);
+  full_tree_builds_.add(engine_.full_build_count() - full_before);
+  rebuild_pause_.observe(engine_.last_rebuild_ns());
+  // Publish the new tree with the current routes and hooks. A snapshot
+  // that a mutation already outdated is left alone: the next acquire
+  // rebuilds it from the engine, new tree included.
+  const std::uint64_t current = version_.load(std::memory_order_relaxed);
+  if (snapshot_ != nullptr && snapshot_->version == current) {
+    auto fresh = std::make_shared<Snapshot>(*snapshot_);
+    fresh->version = current + 1;
+    fresh->match = engine_.snapshot();
+    snapshot_ = std::move(fresh);
+    version_.fetch_add(1, std::memory_order_release);
+  }
+  return true;
+}
+
 PublishResult Broker::publish(const Event& event) {
   return single_result(publish_batch_impl({&event, 1}, {}));
 }
@@ -547,52 +570,20 @@ BatchPublishResult Broker::publish_batch_impl(
       acquire_snapshot(&result.rebuilt);
   const std::vector<Route>& routes = snapshot->routes;
 
-  // Adaptive matching mutates the drift estimator, so the whole call is
-  // matched serialized under mutex_ into CSR scratch (no user code runs
-  // before the scratch is consumed, so it needs no re-entrancy care).
-  // Static matching walks the snapshot's flat tree lock-free, per event.
-  const bool adaptive = engine_.adaptive_enabled();
-  static thread_local std::vector<ProfileId> matched;
-  static thread_local std::vector<std::size_t> offsets;
-  if (adaptive) {
-    const std::scoped_lock lock(mutex_);
-    const std::uint64_t full_before = engine_.full_build_count();
-    const EngineBatchMatch outcome =
-        engine_.match_batch(events, matched, offsets);
-    result.operations = outcome.operations;
-    result.matched_events = outcome.matched_events;
-    if (outcome.rebuilt) {
-      // The engine timed its own rebuild, so a publish that does not
-      // rebuild reads no clock here.
-      result.rebuilt = true;
-      adaptive_rebuilds_.add(1);
-      full_tree_builds_.add(engine_.full_build_count() - full_before);
-      rebuild_pause_.observe(engine_.last_rebuild_ns());
-    }
-  }
-
   std::vector<Delivery> deliveries = take_delivery_scratch();
   for (std::size_t i = 0; i < events.size(); ++i) {
-    std::span<const ProfileId> profiles;
-    if (adaptive) {
-      profiles = std::span<const ProfileId>(matched).subspan(
-          offsets[i], offsets[i + 1] - offsets[i]);
-    } else {
-      const FlatMatch match = snapshot->match->flat->match(events[i]);
-      result.operations += match.operations;
-      if (match.matched_count > 0) ++result.matched_events;
-      profiles = match.span();
-    }
-    for (const ProfileId profile : profiles) {
-      // A subscribe that raced in between snapshot and an adaptive match
-      // may yield an id past the table: like a racing unsubscribe (null
-      // callback), this publish misses it.
-      if (profile >= routes.size()) continue;
+    const FlatMatch match = snapshot->match->flat->match(events[i]);
+    result.operations += match.operations;
+    if (match.matched_count > 0) ++result.matched_events;
+    for (const ProfileId profile : match.span()) {
       const Route& route = routes[profile];
       if (route.callback == nullptr) continue;
       deliveries.push_back(
           Delivery{route.callback.get(), route.subscription, i});
     }
+  }
+  if (engine_.adaptive_enabled() && observe_adaptive(events)) {
+    result.rebuilt = true;
   }
 
   if (traced) match_latency_.observe(obs::now_ns() - trace_start);

@@ -25,12 +25,16 @@
 //     deliver one final notification to a subscription whose unsubscribe()
 //     already returned. Deliveries are never lost or duplicated for
 //     subscriptions that are stable across the publish.
-//   * Every publish overload runs one body (publish_batch_impl): match,
-//     turn matches into deliveries through the snapshot's route table,
-//     drain the callbacks, then run the drain hooks. When the engine's
-//     adaptive loop is enabled, matching itself mutates the drift
-//     estimator, so only the match step is serialized behind the mutex;
-//     routing and delivery are the same as the static path's.
+//   * Every publish overload runs one body (publish_batch_impl) with one
+//     matching loop: match each event lock-free against the snapshot's flat
+//     tree, turn matches into deliveries through the same snapshot's route
+//     table, drain the callbacks, then run the drain hooks. An adaptive
+//     broker runs the same loop, then takes the mutex once per call to fold
+//     the call's events into the drift estimator; when that rebuilds the
+//     tree (usually a cost-slab swap), it publishes a new snapshot with the
+//     same routes and hooks under a version bump. A call matches one tree
+//     and observes before it rebuilds, so a single publisher's rebuild
+//     points do not depend on thread timing.
 #pragma once
 
 #include <atomic>
@@ -106,8 +110,9 @@ class Broker {
 
   void unsubscribe(SubscriptionId id);
 
-  /// Filters and delivers one event (lock-free unless adaptive); a batch of
-  /// one through the publish_batch body.
+  /// Filters and delivers one event (matching is lock-free; an adaptive
+  /// broker then takes the mutex once to observe it); a batch of one
+  /// through the publish_batch body.
   PublishResult publish(const Event& event);
   /// Parses "a=1; b=2" and publishes.
   PublishResult publish(std::string_view event_text, Timestamp time = 0);
@@ -258,7 +263,7 @@ class Broker {
   /// by ProfileId; a null callback marks an id with no live subscription.
   struct Snapshot {
     std::uint64_t version = 0;
-    std::shared_ptr<const MatchSnapshot> match;  // tree + flat compilation
+    std::shared_ptr<const MatchSnapshot> match;  // the flat tree it matches
     std::vector<Route> routes;
     /// Post-drain hooks, in installation order; empty when none are
     /// installed.
@@ -275,6 +280,11 @@ class Broker {
   BatchPublishResult publish_batch_impl(
       std::span<const Event> events,
       std::span<const std::uint64_t> dedup_tokens);
+
+  /// Folds one call's matched events into the engine's adaptive controller
+  /// under mutex_; on a drift rebuild publishes the new tree in a fresh
+  /// snapshot. Returns true when it rebuilt.
+  bool observe_adaptive(std::span<const Event> events);
 
   /// Feeds one internal leaf firing into the composite runtime, then
   /// dispatches any completed composite callbacks outside composite_mutex_.

@@ -1,40 +1,92 @@
 #include "tree/flat_tree.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "common/error.hpp"
 
 namespace genas {
 
+namespace {
+
+std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value) noexcept {
+  return seed ^ (value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
+}
+
+/// Hash of a node's partition key plus its costs, one mix per cell. Costs
+/// join the key so a tree whose value order reads more than the partition
+/// (V2/V3 profile shares) still compiles exactly; under natural and V1
+/// orders they are a function of the partition and never split one.
+std::uint64_t partition_hash(const ProfileTree::Node& node) noexcept {
+  std::uint64_t h = hash_combine(node.attribute, node.cells.size());
+  for (std::size_t i = 0; i < node.cells.size(); ++i) {
+    const std::uint64_t edge = node.child[i] != ProfileTree::kMiss;
+    h = hash_combine(h, static_cast<std::uint64_t>(node.cells[i].hi) ^
+                            (std::uint64_t{node.cost[i]} << 33) ^ (edge << 32));
+  }
+  return h;
+}
+
+bool same_partition(const ProfileTree::Node& a, const ProfileTree::Node& b) {
+  if (a.attribute != b.attribute || a.cells.size() != b.cells.size()) return false;
+  for (std::size_t i = 0; i < a.cells.size(); ++i) {
+    if (a.cells[i].hi != b.cells[i].hi || a.cost[i] != b.cost[i] ||
+        (a.child[i] == ProfileTree::kMiss) != (b.child[i] == ProfileTree::kMiss)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 FlatProfileTree FlatProfileTree::compile(const ProfileTree& tree) {
-  FlatProfileTree flat;
-  flat.schema_ = tree.schema();
-  flat.root_ = tree.root();
-  flat.profile_count_ = tree.profile_count();
-  flat.source_version_ = tree.source_version();
+  auto shape = std::make_shared<Shape>();
+  auto cost = std::make_shared<std::vector<std::uint32_t>>();
+  shape->schema = tree.schema();
+  shape->attribute_order = tree.config().attribute_order;
+  shape->root = tree.root();
+  shape->profile_count = tree.profile_count();
+  shape->source_version = tree.source_version();
 
   const std::vector<ProfileTree::Node>& nodes = tree.nodes();
   std::size_t total_cells = 0;
   for (const ProfileTree::Node& node : nodes) total_cells += node.cells.size();
+  GENAS_CHECK(total_cells <= UINT32_MAX, "flat tree cell slab exceeds 2^32 cells");
 
-  flat.nodes_.reserve(nodes.size());
-  flat.upper_.reserve(total_cells);
-  flat.child_.reserve(total_cells);
-  flat.cost_.reserve(total_cells);
+  shape->nodes.reserve(nodes.size());
+  shape->upper.reserve(total_cells);
+  shape->child.reserve(total_cells);
 
-  for (const ProfileTree::Node& node : nodes) {
-    GENAS_CHECK(flat.upper_.size() <= UINT32_MAX - node.cells.size(),
-                "flat tree cell slab exceeds 2^32 cells");
+  // Partition hash -> representative node index.
+  std::unordered_multimap<std::uint64_t, std::uint32_t> partitions;
+  partitions.reserve(nodes.size());
+  for (std::size_t n = 0; n < nodes.size(); ++n) {
+    const ProfileTree::Node& node = nodes[n];
+    GENAS_CHECK(node.attribute <= UINT32_MAX, "flat tree attribute id exceeds 2^32");
     NodeRef ref;
-    ref.attribute = node.attribute;
-    ref.first_cell = static_cast<std::uint32_t>(flat.upper_.size());
+    ref.attribute = static_cast<std::uint32_t>(node.attribute);
+    ref.first_cell = static_cast<std::uint32_t>(shape->upper.size());
     ref.cell_count = static_cast<std::uint32_t>(node.cells.size());
-    flat.nodes_.push_back(ref);
     for (std::size_t i = 0; i < node.cells.size(); ++i) {
-      flat.upper_.push_back(node.cells[i].hi);
-      flat.child_.push_back(node.child[i]);
-      flat.cost_.push_back(node.cost[i]);
+      shape->upper.push_back(node.cells[i].hi);
+      shape->child.push_back(node.child[i]);
     }
+
+    const std::uint64_t hash = partition_hash(node);
+    const auto [first, last] = partitions.equal_range(hash);
+    const auto found = std::find_if(first, last, [&](const auto& entry) {
+      return same_partition(nodes[entry.second], node);
+    });
+    if (found != last) {
+      ref.first_cost = shape->nodes[found->second].first_cost;
+    } else {
+      ref.first_cost = static_cast<std::uint32_t>(cost->size());
+      cost->insert(cost->end(), node.cost.begin(), node.cost.end());
+      partitions.emplace(hash, static_cast<std::uint32_t>(n));
+      shape->partition_node.push_back(static_cast<std::uint32_t>(n));
+    }
+    shape->nodes.push_back(ref);
   }
 
   const std::vector<ProfileTree::Leaf>& leaves = tree.leaves();
@@ -44,51 +96,116 @@ FlatProfileTree FlatProfileTree::compile(const ProfileTree& tree) {
   }
   GENAS_CHECK(total_postings <= UINT32_MAX,
               "flat tree posting slab exceeds 2^32 entries");
-  flat.leaf_offsets_.reserve(leaves.size() + 1);
-  flat.postings_.reserve(total_postings);
-  flat.leaf_offsets_.push_back(0);
+  shape->leaf_offsets.reserve(leaves.size() + 1);
+  shape->postings.reserve(total_postings);
+  shape->leaf_offsets.push_back(0);
   for (const ProfileTree::Leaf& leaf : leaves) {
-    flat.postings_.insert(flat.postings_.end(), leaf.matched.begin(),
-                          leaf.matched.end());
-    flat.leaf_offsets_.push_back(static_cast<std::uint32_t>(flat.postings_.size()));
+    shape->postings.insert(shape->postings.end(), leaf.matched.begin(),
+                           leaf.matched.end());
+    shape->leaf_offsets.push_back(
+        static_cast<std::uint32_t>(shape->postings.size()));
   }
+
+  FlatProfileTree flat;
+  flat.shape_ = std::move(shape);
+  flat.cost_ = std::move(cost);
+  flat.value_order_ = tree.config().value_order;
+  flat.strategy_ = tree.config().strategy;
+  flat.bind();
   return flat;
+}
+
+void FlatProfileTree::bind() noexcept {
+  walk_ = {shape_->root,          shape_->nodes.data(),
+           shape_->upper.data(),  shape_->child.data(),
+           cost_->data(),         shape_->leaf_offsets.data(),
+           shape_->postings.data()};
+}
+
+bool FlatProfileTree::rerankable(const TreeConfig& config) const {
+  return keyed_by_interval(config.value_order) && config.strategy == strategy_ &&
+         resolve_attribute_order(config.attribute_order,
+                                 shape_->schema->attribute_count()) ==
+             shape_->attribute_order;
+}
+
+FlatProfileTree FlatProfileTree::rerank(const TreeConfig& config) const {
+  GENAS_REQUIRE(rerankable(config), ErrorCode::kInvalidArgument,
+                "rerank needs the tree's attribute order and search strategy "
+                "and a value order keyed by cell interval and P_e");
+  FlatProfileTree out = *this;
+  out.value_order_ = config.value_order;
+  // Binary, interpolation and hash costs never read the scan key, and
+  // natural orders never read P_e: then the slab stays as it is.
+  if (strategy_ != SearchStrategy::kLinear ||
+      (config.value_order == value_order_ &&
+       !needs_event_distribution(value_order_))) {
+    return out;
+  }
+  const Shape& shape = *shape_;
+  const CellRanker ranker(shape.schema, config);
+  auto cost = std::make_shared<std::vector<std::uint32_t>>(cost_->size());
+  CellLayout layout;
+  for (const std::uint32_t n : shape.partition_node) {
+    const NodeRef& ref = shape.nodes[n];
+    layout.cells.resize(ref.cell_count);
+    layout.is_edge.resize(ref.cell_count);
+    DomainIndex lo = shape.schema->attribute(ref.attribute).domain.full().lo;
+    for (std::uint32_t i = 0; i < ref.cell_count; ++i) {
+      const DomainIndex hi = shape.upper[ref.first_cell + i];
+      layout.cells[i] = {lo, hi};
+      layout.is_edge[i] = shape.child[ref.first_cell + i] != ProfileTree::kMiss;
+      lo = hi + 1;
+    }
+    ranker.rank(ref.attribute, layout, {},
+                {cost->data() + ref.first_cost, ref.cell_count}, {});
+  }
+  out.cost_ = std::move(cost);
+  out.bind();
+  return out;
 }
 
 FlatMatch FlatProfileTree::match(const Event& event) const noexcept {
   FlatMatch result;
   const DomainIndex* indices = event.indices().data();
-  std::int32_t slot = root_;
+  std::int32_t slot = walk_.root;
   while (slot >= 0) {
-    const NodeRef node = nodes_[static_cast<std::size_t>(slot)];
+    const NodeRef node = walk_.nodes[static_cast<std::size_t>(slot)];
     const DomainIndex v = indices[node.attribute];
     // Locate the containing cell: binary search by upper bound over the
     // node's contiguous slab span — the same uncounted lookup-table access
     // as the node form (see profile_tree.cpp).
-    const DomainIndex* upper = upper_.data() + node.first_cell;
+    const DomainIndex* upper = walk_.upper + node.first_cell;
     const DomainIndex* it = std::lower_bound(upper, upper + node.cell_count, v);
     if (it == upper + node.cell_count) --it;  // defensive: v beyond domain edge
-    const auto idx =
-        node.first_cell + static_cast<std::uint32_t>(it - upper);
-    result.operations += cost_[idx];
-    slot = child_[idx];
+    const auto offset = static_cast<std::uint32_t>(it - upper);
+    result.operations += walk_.cost[node.first_cost + offset];
+    slot = walk_.child[node.first_cell + offset];
   }
   if (ProfileTree::is_leaf_ref(slot)) {
     const std::size_t leaf = ProfileTree::leaf_index(slot);
-    const std::uint32_t begin = leaf_offsets_[leaf];
-    result.matched = postings_.data() + begin;
-    result.matched_count = leaf_offsets_[leaf + 1] - begin;
+    const std::uint32_t begin = walk_.leaf_offsets[leaf];
+    result.matched = walk_.postings + begin;
+    result.matched_count = walk_.leaf_offsets[leaf + 1] - begin;
   }
   return result;
 }
 
+std::span<const std::uint32_t> FlatProfileTree::cell_costs(
+    std::size_t node) const noexcept {
+  const NodeRef& ref = shape_->nodes[node];
+  return {cost_->data() + ref.first_cost, ref.cell_count};
+}
+
 std::size_t FlatProfileTree::arena_bytes() const noexcept {
-  return nodes_.size() * sizeof(NodeRef) +
-         upper_.size() * sizeof(DomainIndex) +
-         child_.size() * sizeof(std::int32_t) +
-         cost_.size() * sizeof(std::uint32_t) +
-         leaf_offsets_.size() * sizeof(std::uint32_t) +
-         postings_.size() * sizeof(ProfileId);
+  const Shape& shape = *shape_;
+  return shape.nodes.size() * sizeof(NodeRef) +
+         shape.upper.size() * sizeof(DomainIndex) +
+         shape.child.size() * sizeof(std::int32_t) +
+         cost_->size() * sizeof(std::uint32_t) +
+         shape.leaf_offsets.size() * sizeof(std::uint32_t) +
+         shape.postings.size() * sizeof(ProfileId) +
+         shape.partition_node.size() * sizeof(std::uint32_t);
 }
 
 }  // namespace genas

@@ -33,90 +33,6 @@ std::uint64_t profile_key(ProfileId id) noexcept {
   return splitmix64(state);
 }
 
-/// `attribute_order` with an empty order read as schema order.
-std::vector<AttributeId> resolve_order(std::vector<AttributeId> order,
-                                       std::size_t attribute_count) {
-  if (order.empty()) {
-    order.resize(attribute_count);
-    for (std::size_t j = 0; j < attribute_count; ++j) order[j] = j;
-  }
-  return order;
-}
-
-/// Plans each node's per-cell costs and scan ranks under one configuration.
-/// The builder and ProfileTree::rerank both rank nodes through it, so the
-/// scan-key switch exists once.
-class NodeRanker {
- public:
-  NodeRanker(const SchemaPtr& schema, const TreeConfig& config)
-      : config_(config) {
-    if (config_.event_distribution.has_value()) {
-      const JointDistribution& joint = *config_.event_distribution;
-      GENAS_REQUIRE(joint.schema() == schema, ErrorCode::kInvalidArgument,
-                    "event distribution schema differs from profile schema");
-      marginals_.reserve(schema->attribute_count());
-      for (AttributeId id = 0; id < schema->attribute_count(); ++id) {
-        marginals_.push_back(joint.marginal(id));
-      }
-    }
-    GENAS_REQUIRE(!needs_event_distribution(config_.value_order) ||
-                      config_.event_distribution.has_value(),
-                  ErrorCode::kInvalidArgument,
-                  "value order requires an event distribution");
-  }
-
-  /// Fills node.cost and node.scan_rank from its cells and children.
-  /// `shares[i]` is P_p of cell i, read only by the V2/V3 orders.
-  void rank(ProfileTree::Node& node, std::span<const double> shares) {
-    const std::size_t k = node.cells.size();
-    layout_.cells.assign(node.cells.begin(), node.cells.end());
-    layout_.is_edge.resize(k);
-    layout_.order_key.resize(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      layout_.is_edge[i] = node.child[i] != ProfileTree::kMiss;
-      layout_.order_key[i] = order_key(node.attribute, node.cells[i], shares, i);
-    }
-    CellCosts costs = plan_costs(layout_, config_.strategy);
-    node.cost = std::move(costs.cost);
-    node.scan_rank = std::move(costs.scan_rank);
-  }
-
- private:
-  /// Scan-priority key of a cell under the configured value order. Higher
-  /// keys are scanned earlier; ties resolve to natural interval order.
-  double order_key(AttributeId attribute, const Interval& cell,
-                   std::span<const double> shares, std::size_t i) const {
-    switch (config_.value_order) {
-      case ValueOrder::kNaturalAscending:
-        return 0.0;  // all ties -> stable sort keeps natural order
-      case ValueOrder::kNaturalDescending:
-        return static_cast<double>(cell.lo);
-      case ValueOrder::kEventProbability:
-        return event_mass(attribute, cell);
-      case ValueOrder::kProfileProbability:
-        return share(shares, i);
-      case ValueOrder::kCombinedProbability:
-        return event_mass(attribute, cell) * share(shares, i);
-    }
-    return 0.0;
-  }
-
-  double event_mass(AttributeId attribute, const Interval& iv) const {
-    GENAS_CHECK(attribute < marginals_.size(),
-                "event distribution missing for ordering key");
-    return marginals_[attribute].mass(iv);
-  }
-
-  static double share(std::span<const double> shares, std::size_t i) {
-    GENAS_CHECK(i < shares.size(), "profile share missing for ordering key");
-    return shares[i];
-  }
-
-  const TreeConfig& config_;
-  std::vector<DiscreteDistribution> marginals_;
-  CellLayout layout_;  // scratch reused across nodes
-};
-
 /// Builds the DFSA depth-first. Nodes are memoized on (level, alive set)
 /// through the additive set hash; a hit is confirmed by a merge-walk against
 /// the stored set, and a child's alive set is materialized only on a miss.
@@ -248,7 +164,15 @@ class TreeBuilder {
         shares.push_back(profile_share(cell, constrained_ids, total_weight));
       }
     }
-    ranker_.rank(node, shares);
+    // Ranked once the children are built: their builds reuse layout_.
+    layout_.cells.assign(node.cells.begin(), node.cells.end());
+    layout_.is_edge.resize(cell_count);
+    for (std::size_t i = 0; i < cell_count; ++i) {
+      layout_.is_edge[i] = node.child[i] != ProfileTree::kMiss;
+    }
+    node.cost.resize(cell_count);
+    node.scan_rank.resize(cell_count);
+    ranker_.rank(attribute, layout_, shares, node.cost, node.scan_rank);
 
     stats_->cell_count += cell_count;
     stats_->max_node_width = std::max(stats_->max_node_width, cell_count);
@@ -288,7 +212,8 @@ class TreeBuilder {
   const ProfileSet& profiles_;
   const Schema& schema_;
   const TreeConfig& config_;
-  NodeRanker ranker_;
+  CellRanker ranker_;
+  CellLayout layout_;  // ranking scratch reused across nodes
 
   std::vector<ProfileTree::Node>* nodes_ = nullptr;
   std::vector<ProfileTree::Leaf>* leaves_ = nullptr;
@@ -302,9 +227,75 @@ class TreeBuilder {
 
 }  // namespace
 
+std::vector<AttributeId> resolve_attribute_order(std::vector<AttributeId> order,
+                                                 std::size_t attribute_count) {
+  if (order.empty()) {
+    order.resize(attribute_count);
+    for (std::size_t j = 0; j < attribute_count; ++j) order[j] = j;
+  }
+  return order;
+}
+
+CellRanker::CellRanker(const SchemaPtr& schema, const TreeConfig& config)
+    : value_order_(config.value_order), strategy_(config.strategy) {
+  if (config.event_distribution.has_value()) {
+    const JointDistribution& joint = *config.event_distribution;
+    GENAS_REQUIRE(joint.schema() == schema, ErrorCode::kInvalidArgument,
+                  "event distribution schema differs from profile schema");
+    marginals_.reserve(schema->attribute_count());
+    for (AttributeId id = 0; id < schema->attribute_count(); ++id) {
+      marginals_.push_back(joint.marginal(id));
+    }
+  }
+  GENAS_REQUIRE(!needs_event_distribution(value_order_) ||
+                    config.event_distribution.has_value(),
+                ErrorCode::kInvalidArgument,
+                "value order requires an event distribution");
+}
+
+void CellRanker::rank(AttributeId attribute, CellLayout& layout,
+                      std::span<const double> shares,
+                      std::span<std::uint32_t> cost,
+                      std::span<std::uint32_t> scan_rank) const {
+  const std::size_t k = layout.cells.size();
+  layout.order_key.resize(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    layout.order_key[i] = order_key(attribute, layout.cells[i], shares, i);
+  }
+  plan_costs(layout, strategy_, cost, scan_rank);
+}
+
+double CellRanker::order_key(AttributeId attribute, const Interval& cell,
+                             std::span<const double> shares,
+                             std::size_t i) const {
+  const auto event_mass = [&] {
+    GENAS_CHECK(attribute < marginals_.size(),
+                "event distribution missing for ordering key");
+    return marginals_[attribute].mass(cell);
+  };
+  const auto share = [&] {
+    GENAS_CHECK(i < shares.size(), "profile share missing for ordering key");
+    return shares[i];
+  };
+  switch (value_order_) {
+    case ValueOrder::kNaturalAscending:
+      return 0.0;  // all ties -> natural order
+    case ValueOrder::kNaturalDescending:
+      return static_cast<double>(cell.lo);
+    case ValueOrder::kEventProbability:
+      return event_mass();
+    case ValueOrder::kProfileProbability:
+      return share();
+    case ValueOrder::kCombinedProbability:
+      return event_mass() * share();
+  }
+  return 0.0;
+}
+
 ProfileTree ProfileTree::build(const ProfileSet& profiles, TreeConfig config) {
   const std::size_t n = profiles.schema()->attribute_count();
-  config.attribute_order = resolve_order(std::move(config.attribute_order), n);
+  config.attribute_order =
+      resolve_attribute_order(std::move(config.attribute_order), n);
   GENAS_REQUIRE(config.attribute_order.size() == n, ErrorCode::kInvalidArgument,
                 "attribute order must cover every schema attribute");
   std::vector<bool> seen(n, false);
@@ -324,24 +315,6 @@ ProfileTree ProfileTree::build(const ProfileSet& profiles, TreeConfig config) {
   TreeBuilder builder(profiles, config);
   tree.root_ = builder.run(profiles.active_ids(), tree.nodes_, tree.leaves_,
                            tree.stats_);
-  tree.config_ = std::move(config);
-  return tree;
-}
-
-bool ProfileTree::rerankable(const TreeConfig& config) const {
-  return keyed_by_interval(config.value_order) &&
-         resolve_order(config.attribute_order, schema_->attribute_count()) ==
-             config_.attribute_order;
-}
-
-ProfileTree ProfileTree::rerank(TreeConfig config) const {
-  GENAS_REQUIRE(rerankable(config), ErrorCode::kInvalidArgument,
-                "rerank needs the tree's attribute order and a value order "
-                "keyed by cell interval and P_e");
-  config.attribute_order = config_.attribute_order;
-  ProfileTree tree = *this;
-  NodeRanker ranker(schema_, config);
-  for (Node& node : tree.nodes_) ranker.rank(node, {});
   tree.config_ = std::move(config);
   return tree;
 }

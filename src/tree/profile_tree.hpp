@@ -19,9 +19,9 @@
 //     the search strategy (linear/binary/interpolation/hash).
 //
 // The value order only ranks a node's cells; it never changes the shape.
-// rerank() re-plans the ranks of a built tree under a new P_e, which is how
-// the adaptive loop restructures when neither profiles nor attribute order
-// moved.
+// That is how the adaptive loop restructures when neither profiles nor
+// attribute order moved: it re-plans the costs of the compiled flat form
+// (FlatProfileTree::rerank) under the new P_e.
 //
 // The tree is immutable after build(); matching is allocation-free,
 // noexcept, and thread-safe.
@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,7 @@ constexpr bool needs_event_distribution(ValueOrder order) noexcept {
 
 /// True when a cell's scan key needs only the cell's interval and P_e
 /// (natural orders and V1), so a built tree can be re-ranked in place of a
-/// rebuild (ProfileTree::rerank).
+/// rebuild (FlatProfileTree::rerank).
 constexpr bool keyed_by_interval(ValueOrder order) noexcept {
   return order == ValueOrder::kNaturalAscending ||
          order == ValueOrder::kNaturalDescending ||
@@ -72,6 +73,40 @@ struct TreeConfig {
   SearchStrategy strategy = SearchStrategy::kLinear;
   /// Event distribution used by V1/V3 ordering; ignored otherwise.
   std::optional<JointDistribution> event_distribution;
+};
+
+/// `order` with an empty order read as schema order (0, 1, ..., n-1).
+std::vector<AttributeId> resolve_attribute_order(std::vector<AttributeId> order,
+                                                 std::size_t attribute_count);
+
+/// The one cost rule: plans a node's per-cell costs and scan ranks under one
+/// configuration (value order -> scan keys -> the strategy's cost model).
+/// The builder ranks every new node through it and FlatProfileTree::rerank
+/// refills a cost slab from the flat form alone, so the scan-key switch
+/// exists once.
+class CellRanker {
+ public:
+  /// Throws kInvalidArgument when the value order needs an event
+  /// distribution that `config` lacks, or its schema is not `schema`.
+  CellRanker(const SchemaPtr& schema, const TreeConfig& config);
+
+  /// Plans the cells of a node testing `attribute` into caller-owned
+  /// `cost`, and `scan_rank` unless it is empty. `layout` holds the node's
+  /// cells in interval order and which of them are edges; rank() writes its
+  /// order_key. `shares[i]` is P_p of cell i, read only by the V2/V3 orders.
+  void rank(AttributeId attribute, CellLayout& layout,
+            std::span<const double> shares, std::span<std::uint32_t> cost,
+            std::span<std::uint32_t> scan_rank) const;
+
+ private:
+  /// Scan-priority key of cell i; higher keys are scanned earlier, and ties
+  /// resolve to natural interval order.
+  double order_key(AttributeId attribute, const Interval& cell,
+                   std::span<const double> shares, std::size_t i) const;
+
+  ValueOrder value_order_;
+  SearchStrategy strategy_;
+  std::vector<DiscreteDistribution> marginals_;  // per attribute, when P_e given
 };
 
 /// Build statistics (TV1 measures tree construction).
@@ -127,17 +162,6 @@ class ProfileTree {
   /// Builds the tree over the currently active profiles. Throws on invalid
   /// configuration (bad permutation, missing event distribution for V1/V3).
   static ProfileTree build(const ProfileSet& profiles, TreeConfig config);
-
-  /// True when rerank(config) applies: the value order is keyed_by_interval
-  /// and the attribute order (empty = schema order) equals this tree's.
-  bool rerankable(const TreeConfig& config) const;
-
-  /// The tree build() would return for the same profile set under `config`,
-  /// without rebuilding: cells, children and leaves are copied, and only
-  /// each node's cost and scan_rank are re-planned. The tree's shape depends
-  /// on the profiles and the attribute order alone, so this holds whenever
-  /// rerankable(config). Throws kInvalidArgument otherwise.
-  ProfileTree rerank(TreeConfig config) const;
 
   /// Matches one event along the single DFSA path.
   TreeMatch match(const Event& event) const noexcept;

@@ -19,6 +19,8 @@ std::string_view to_string(SearchStrategy strategy) noexcept {
 
 namespace {
 
+using Costs = std::span<std::uint32_t>;
+
 /// Indices of edge cells in interval order.
 std::vector<std::size_t> edge_indices(const CellLayout& layout) {
   std::vector<std::size_t> edges;
@@ -28,25 +30,28 @@ std::vector<std::size_t> edge_indices(const CellLayout& layout) {
   return edges;
 }
 
-CellCosts plan_linear(const CellLayout& layout) {
-  const std::size_t k = layout.cells.size();
-  CellCosts out;
-  out.cost.assign(k, 0);
-  out.scan_rank.assign(k, 0);
+/// Writes 1-based interval-order ranks of the edge cells (0 for gaps).
+void rank_in_interval_order(const CellLayout& layout, Costs scan_rank) {
+  if (scan_rank.empty()) return;
+  std::uint32_t rank = 0;
+  for (std::size_t i = 0; i < layout.cells.size(); ++i) {
+    scan_rank[i] = layout.is_edge[i] ? ++rank : 0;
+  }
+}
 
+void plan_linear(const CellLayout& layout, Costs cost, Costs scan_rank) {
+  const std::size_t k = layout.cells.size();
   // Scan positions over ALL cells: sort by key descending, ties by natural
   // interval order (paper: "the order of values with equal selectivity is
   // arbitrary (such as the natural order)").
-  std::vector<std::size_t> by_position(k);
-  std::iota(by_position.begin(), by_position.end(), 0);
+  std::vector<std::uint32_t> by_position(k);
+  std::iota(by_position.begin(), by_position.end(), 0U);
   std::stable_sort(by_position.begin(), by_position.end(),
-                   [&](std::size_t a, std::size_t b) {
+                   [&](std::uint32_t a, std::uint32_t b) {
                      return layout.order_key[a] > layout.order_key[b];
                    });
-  std::uint32_t edge_count = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    if (layout.is_edge[i]) ++edge_count;
-  }
+  const auto edge_count = static_cast<std::uint32_t>(
+      std::count(layout.is_edge.begin(), layout.is_edge.end(), true));
 
   // One pass in scan-position order. Edges get their 1-based rank in the
   // scan list (which contains only edges); a gap cell at this position obeys
@@ -55,27 +60,21 @@ CellCosts plan_linear(const CellLayout& layout) {
   // position reveals the miss — capped at the full list when every edge
   // precedes the target.
   std::uint32_t edges_seen = 0;
-  for (std::size_t p = 0; p < k; ++p) {
-    const std::size_t cell = by_position[p];
+  for (const std::uint32_t cell : by_position) {
     if (layout.is_edge[cell]) {
-      out.scan_rank[cell] = ++edges_seen;
-      out.cost[cell] = edges_seen;
+      cost[cell] = ++edges_seen;
+      if (!scan_rank.empty()) scan_rank[cell] = edges_seen;
     } else {
-      out.cost[cell] = std::min<std::uint32_t>(edge_count, edges_seen + 1);
+      cost[cell] = std::min(edge_count, edges_seen + 1);
+      if (!scan_rank.empty()) scan_rank[cell] = 0;
     }
   }
-  return out;
 }
 
-CellCosts plan_binary(const CellLayout& layout) {
+void plan_binary(const CellLayout& layout, Costs cost, Costs scan_rank) {
   const std::size_t k = layout.cells.size();
   const std::vector<std::size_t> edges = edge_indices(layout);
-  CellCosts out;
-  out.cost.assign(k, 0);
-  out.scan_rank.assign(k, 0);
-  for (std::size_t r = 0; r < edges.size(); ++r) {
-    out.scan_rank[edges[r]] = static_cast<std::uint32_t>(r + 1);
-  }
+  rank_in_interval_order(layout, scan_rank);
   for (std::size_t i = 0; i < k; ++i) {
     const DomainIndex v = layout.cells[i].lo;  // any representative works:
     // cells are elementary, so all their values relate identically to edges
@@ -93,20 +92,14 @@ CellCosts plan_binary(const CellLayout& layout) {
         lo = mid + 1;
       }
     }
-    out.cost[i] = ops;
+    cost[i] = ops;
   }
-  return out;
 }
 
-CellCosts plan_interpolation(const CellLayout& layout) {
+void plan_interpolation(const CellLayout& layout, Costs cost, Costs scan_rank) {
   const std::size_t k = layout.cells.size();
   const std::vector<std::size_t> edges = edge_indices(layout);
-  CellCosts out;
-  out.cost.assign(k, 0);
-  out.scan_rank.assign(k, 0);
-  for (std::size_t r = 0; r < edges.size(); ++r) {
-    out.scan_rank[edges[r]] = static_cast<std::uint32_t>(r + 1);
-  }
+  rank_in_interval_order(layout, scan_rank);
   for (std::size_t i = 0; i < k; ++i) {
     const DomainIndex v = layout.cells[i].lo;
     std::uint32_t ops = 0;
@@ -135,43 +128,46 @@ CellCosts plan_interpolation(const CellLayout& layout) {
         lo = probe_at + 1;
       }
     }
-    out.cost[i] = ops;
+    cost[i] = ops;
   }
-  return out;
 }
 
-CellCosts plan_hash(const CellLayout& layout) {
+void plan_hash(const CellLayout& layout, Costs cost, Costs scan_rank) {
   // Idealized hash table over cells: one probe resolves edge or miss.
-  const std::size_t k = layout.cells.size();
-  CellCosts out;
-  out.cost.assign(k, 1);
-  out.scan_rank.assign(k, 0);
-  std::uint32_t rank = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    if (layout.is_edge[i]) out.scan_rank[i] = ++rank;
-  }
-  return out;
+  std::fill(cost.begin(), cost.end(), 1U);
+  rank_in_interval_order(layout, scan_rank);
 }
 
 }  // namespace
 
-CellCosts plan_costs(const CellLayout& layout, SearchStrategy strategy) {
+void plan_costs(const CellLayout& layout, SearchStrategy strategy,
+                std::span<std::uint32_t> cost,
+                std::span<std::uint32_t> scan_rank) {
   const std::size_t k = layout.cells.size();
-  GENAS_REQUIRE(layout.is_edge.size() == k && layout.order_key.size() == k,
+  GENAS_REQUIRE(layout.is_edge.size() == k && layout.order_key.size() == k &&
+                    cost.size() == k && (scan_rank.empty() || scan_rank.size() == k),
                 ErrorCode::kInvalidArgument,
-                "cell layout vectors must be equal-sized");
+                "cell layout vectors and cost tables must be equal-sized");
   for (std::size_t i = 1; i < k; ++i) {
     GENAS_REQUIRE(layout.cells[i - 1].hi + 1 == layout.cells[i].lo,
                   ErrorCode::kInvalidArgument,
                   "cells must partition the domain contiguously");
   }
   switch (strategy) {
-    case SearchStrategy::kLinear:        return plan_linear(layout);
-    case SearchStrategy::kBinary:        return plan_binary(layout);
-    case SearchStrategy::kInterpolation: return plan_interpolation(layout);
-    case SearchStrategy::kHash:          return plan_hash(layout);
+    case SearchStrategy::kLinear:        return plan_linear(layout, cost, scan_rank);
+    case SearchStrategy::kBinary:        return plan_binary(layout, cost, scan_rank);
+    case SearchStrategy::kInterpolation: return plan_interpolation(layout, cost, scan_rank);
+    case SearchStrategy::kHash:          return plan_hash(layout, cost, scan_rank);
   }
   throw_error(ErrorCode::kInternal, "unknown search strategy");
+}
+
+CellCosts plan_costs(const CellLayout& layout, SearchStrategy strategy) {
+  CellCosts out;
+  out.cost.resize(layout.cells.size());
+  out.scan_rank.resize(layout.cells.size());
+  plan_costs(layout, strategy, out.cost, out.scan_rank);
+  return out;
 }
 
 }  // namespace genas

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -55,8 +56,15 @@ struct CellCosts {
   std::vector<std::uint32_t> scan_rank;
 };
 
-/// Computes the cost table for a node. `layout` vectors must be equal-sized
-/// and the cells must partition the node's domain.
+/// Computes the cost table for a node into caller-owned storage: `cost`
+/// must hold one entry per cell; `scan_rank` likewise, or be empty when the
+/// caller needs no ranks. `layout` vectors must be equal-sized and the cells
+/// must partition the node's domain.
+void plan_costs(const CellLayout& layout, SearchStrategy strategy,
+                std::span<std::uint32_t> cost,
+                std::span<std::uint32_t> scan_rank);
+
+/// plan_costs into freshly allocated tables.
 CellCosts plan_costs(const CellLayout& layout, SearchStrategy strategy);
 
 }  // namespace genas

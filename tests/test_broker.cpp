@@ -7,6 +7,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "common/error.hpp"
@@ -406,9 +407,10 @@ TEST_F(BrokerTest, AdaptiveBrokerDeliversExactlyLikeStaticUnderChurn) {
 }
 
 TEST_F(BrokerTest, ConcurrentAdaptivePublishersMatchStaticReference) {
-  // Three publisher threads drive one adaptive broker (matching serialized,
-  // routing and delivery concurrent) across drift rebuilds; the delivery
-  // multiset must equal a static broker's over the same events.
+  // Three publisher threads drive one adaptive broker (matching lock-free,
+  // observing serialized) across drift rebuilds; the delivery multiset must
+  // equal a static broker's over the same events, and every rebuild after
+  // the first snapshot must be a rank-only cost-slab swap.
   Broker adaptive(schema_, drifting_adaptive_options());
   const std::vector<Event> stream = flipping_stream(schema_, 6000, 300, 9);
   const std::vector<std::string> expressions{
@@ -428,6 +430,15 @@ TEST_F(BrokerTest, ConcurrentAdaptivePublishersMatchStaticReference) {
     });
   }
   broker_.publish_batch(stream);
+
+  // Warm-up: the first publish builds the tree; this event matches nothing.
+  adaptive.publish(Event::from_pairs(
+      schema_, {{"temperature", 20}, {"humidity", 50}, {"radiation", 10}}));
+  const auto value = [&](std::string_view name) {
+    return adaptive.metrics().snapshot().value(name);
+  };
+  const std::int64_t full_builds = value("genas_broker_full_tree_builds_total");
+  EXPECT_EQ(full_builds, 1);
 
   constexpr std::size_t kThreads = 3;
   std::vector<std::thread> publishers;
@@ -450,13 +461,49 @@ TEST_F(BrokerTest, ConcurrentAdaptivePublishersMatchStaticReference) {
   }
   for (std::thread& publisher : publishers) publisher.join();
 
-  EXPECT_GT(adaptive.metrics().snapshot().value(
-                "genas_broker_adaptive_rebuilds_total"),
-            1);
+  EXPECT_GT(value("genas_broker_adaptive_rebuilds_total"), 1);
+  EXPECT_EQ(value("genas_broker_full_tree_builds_total"), full_builds)
+      << "a drift rebuild took the full path";
   ASSERT_FALSE(expected.empty());
   std::sort(concurrent.begin(), concurrent.end());
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(concurrent, expected);
+}
+
+TEST_F(BrokerTest, AdaptiveTreeDumpAfterDriftEqualsFreshBuild) {
+  // A rank-only rebuild publishes only a cost slab; tree_dump() must still
+  // show the node form a fresh build under the rebuild's distribution has.
+  // A FilterEngine with the same options, fed the same events, rebuilds at
+  // the same points and exposes that distribution.
+  Broker adaptive(schema_, drifting_adaptive_options());
+  FilterEngine mirror(schema_, drifting_adaptive_options());
+  for (const std::string expression :
+       {"temperature >= 35", "temperature <= -10 && humidity >= 50",
+        "humidity >= 90", "radiation <= 20"}) {
+    adaptive.subscribe(expression, [](const Notification&) {});
+    mirror.subscribe(expression);
+  }
+
+  // The first publish builds the broker's first snapshot (reported as a
+  // rebuild); the mirror builds lazily. Both observe the event.
+  const std::vector<Event> stream = flipping_stream(schema_, 2000, 250, 31);
+  adaptive.publish(stream[0]);
+  mirror.match(stream[0]);
+  std::size_t compared = 0;
+  for (const Event& event : std::span<const Event>(stream).subspan(1)) {
+    const bool rebuilt = adaptive.publish(event).rebuilt;
+    ASSERT_EQ(mirror.match(event).rebuilt, rebuilt) << event.to_string();
+    if (!rebuilt) continue;
+    ++compared;
+    EXPECT_EQ(adaptive.tree_dump(),
+              build_tree(mirror.profiles(), mirror.policy(),
+                         mirror.adaptive()->estimate())
+                  .dump());
+  }
+  EXPECT_GE(compared, 2u);
+  EXPECT_EQ(adaptive.metrics().snapshot().value(
+                "genas_broker_full_tree_builds_total"),
+            1);
 }
 
 TEST_F(BrokerTest, BatchSurvivesReentrantSubscribeAndPublishMidDrain) {

@@ -1,6 +1,8 @@
 // Tests for the FilterEngine facade.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/filter_engine.hpp"
@@ -270,12 +272,22 @@ class RebuildPathTest : public ::testing::Test {
     for (const Event& event : events) {
       const std::uint64_t full_before = engine.full_build_count();
       if (!engine.match(event).rebuilt) continue;
+      const bool rank_only = engine.full_build_count() == full_before;
+      // A rank-only snapshot carries no node form; a full build's does.
+      EXPECT_EQ(engine.snapshot()->tree == nullptr, rank_only);
       const ProfileTree& tree = engine.tree();
       testutil::expect_same_tree(
           tree, build_tree(engine.profiles(), engine.policy(),
                            engine.adaptive()->estimate()));
+      // The slab the snapshot serves holds the fresh build's costs.
+      const FlatProfileTree& flat = *engine.snapshot()->flat;
+      EXPECT_EQ(flat.node_count(), tree.nodes().size());
+      for (std::size_t n = 0; n < flat.node_count(); ++n) {
+        EXPECT_TRUE(std::ranges::equal(flat.cell_costs(n), tree.nodes()[n].cost))
+            << "node " << n;
+      }
       const bool reordered = tree.config().attribute_order != order;
-      if (engine.full_build_count() == full_before) {
+      if (rank_only) {
         ++seen.rank_only;
         EXPECT_FALSE(reordered) << "a rank-only rebuild kept a stale order";
       } else {
@@ -303,6 +315,38 @@ TEST_F(RebuildPathTest, ShapePreservingDriftRebuildsRankOnly) {
   EXPECT_EQ(seen.full, 0u);
   EXPECT_EQ(engine.full_build_count(), full_at_start);
   EXPECT_EQ(engine.rebuild_count(), full_at_start + seen.rank_only);
+}
+
+TEST_F(RebuildPathTest, SnapshotHeldAcrossRankOnlySwapKeepsItsCosts) {
+  FilterEngine engine(schema_, adaptive_options(ValueOrder::kEventProbability));
+  subscribe_profiles(engine, true);
+  engine.rebuild();
+  const std::shared_ptr<const MatchSnapshot> held = engine.snapshot();
+  const std::vector<Event> probe = regime_events(1, 200);
+  std::vector<std::uint64_t> held_ops;
+  for (const Event& event : probe) held_ops.push_back(held->flat->match(event).operations);
+
+  // Drift until a rank-only rebuild replaces the snapshot.
+  const std::uint64_t full_before = engine.full_build_count();
+  const std::uint64_t rebuilds_before = engine.rebuild_count();
+  for (const Event& event : regime_events(0, 1500)) (void)engine.match(event);
+  ASSERT_GT(engine.rebuild_count(), rebuilds_before);
+  ASSERT_EQ(engine.full_build_count(), full_before);
+  const std::shared_ptr<const MatchSnapshot> swapped = engine.snapshot();
+  ASSERT_NE(swapped, held);
+  EXPECT_EQ(swapped->tree, nullptr);
+  EXPECT_EQ(swapped->flat->nodes().data(), held->flat->nodes().data())
+      << "a rank-only rebuild must share the shape";
+
+  bool costs_moved = false;
+  for (std::size_t i = 0; i < probe.size(); ++i) {
+    const FlatMatch old_match = held->flat->match(probe[i]);
+    const FlatMatch new_match = swapped->flat->match(probe[i]);
+    EXPECT_EQ(old_match.operations, held_ops[i]) << "held snapshot changed";
+    EXPECT_TRUE(std::ranges::equal(old_match.span(), new_match.span()));
+    costs_moved |= old_match.operations != new_match.operations;
+  }
+  EXPECT_TRUE(costs_moved) << "the swap re-planned no cost the probe reads";
 }
 
 TEST_F(RebuildPathTest, AttributeReorderTakesTheFullPath) {

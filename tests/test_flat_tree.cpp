@@ -1,8 +1,17 @@
 // Tests for FlatProfileTree: the SoA compilation must be observationally
 // identical to the node form — same matched sets AND same counted
-// operations — across every ordering policy, search strategy, and workload.
+// operations — across every ordering policy, search strategy, and workload;
+// and a rank-only rerank must equal a fresh compile cell for cell while
+// sharing the shape.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "common/error.hpp"
 #include "match/naive_matcher.hpp"
 #include "sim/workload.hpp"
 #include "test_util.hpp"
@@ -131,6 +140,178 @@ INSTANTIATE_TEST_SUITE_P(
                             SearchStrategy::kInterpolation},
         FlatTreeOracleParam{ValueOrder::kCombinedProbability,
                             SearchStrategy::kHash}));
+
+// --- Rank-only rebuilds: a cost-slab swap on a shared shape -------------
+
+struct RerankParam {
+  ValueOrder value_order;
+  SearchStrategy strategy;
+  bool equality_only;
+};
+
+class FlatRerankOracle : public ::testing::TestWithParam<RerankParam> {
+ protected:
+  SchemaPtr schema_ = SchemaBuilder()
+                          .add_integer("a", 0, 49)
+                          .add_integer("b", 0, 29)
+                          .add_integer("c", 0, 19)
+                          .build();
+
+  /// Profiles with don't-cares, a few removed ids and uneven weights.
+  ProfileSet profiles() const {
+    ProfileWorkloadOptions options;
+    options.count = 200;
+    options.dont_care_probability = 0.3;
+    options.equality_only = GetParam().equality_only;
+    options.range_width_mean = 0.15;
+    options.seed = 29;
+    ProfileSet set = generate_profiles(
+        schema_, make_profile_distributions(schema_, {"gauss"}), options);
+    for (ProfileId id = 0; id < set.capacity(); id += 7) set.remove(id);
+    for (ProfileId id = 1; id < set.capacity(); id += 5) {
+      if (set.is_active(id)) set.set_weight(id, 1.0 + static_cast<double>(id % 4));
+    }
+    return set;
+  }
+
+  /// Cell-for-cell equality: directory, bounds, children, costs, postings.
+  static void expect_same_flat(const FlatProfileTree& a, const FlatProfileTree& b) {
+    ASSERT_EQ(a.node_count(), b.node_count());
+    EXPECT_EQ(a.root(), b.root());
+    EXPECT_EQ(a.source_version(), b.source_version());
+    EXPECT_TRUE(std::ranges::equal(a.upper(), b.upper()));
+    EXPECT_TRUE(std::ranges::equal(a.child(), b.child()));
+    EXPECT_TRUE(std::ranges::equal(a.leaf_offsets(), b.leaf_offsets()));
+    EXPECT_TRUE(std::ranges::equal(a.postings(), b.postings()));
+    for (std::size_t n = 0; n < a.node_count(); ++n) {
+      EXPECT_EQ(a.nodes()[n].first_cell, b.nodes()[n].first_cell) << "node " << n;
+      EXPECT_EQ(a.nodes()[n].attribute, b.nodes()[n].attribute) << "node " << n;
+      EXPECT_TRUE(std::ranges::equal(a.cell_costs(n), b.cell_costs(n)))
+          << "node " << n;
+    }
+  }
+};
+
+TEST_P(FlatRerankOracle, EqualsFreshCompileAndSharesTheShape) {
+  const RerankParam param = GetParam();
+  const ProfileSet set = profiles();
+  TreeConfig after;
+  after.value_order = param.value_order;
+  after.strategy = param.strategy;
+  after.event_distribution =
+      make_event_distribution(schema_, {"d37", "gauss", "equal"});
+  const FlatProfileTree reference =
+      FlatProfileTree::compile(ProfileTree::build(set, after));
+
+  // From a tree planned under another order and P_e, including a weighted
+  // (V3) one whose partitions are split by profile shares.
+  TreeConfig natural;
+  natural.strategy = param.strategy;
+  TreeConfig weighted;
+  weighted.value_order = ValueOrder::kCombinedProbability;
+  weighted.strategy = param.strategy;
+  weighted.event_distribution = make_event_distribution(schema_, {"gauss"});
+  for (const TreeConfig& before : {natural, weighted}) {
+    const FlatProfileTree built =
+        FlatProfileTree::compile(ProfileTree::build(set, before));
+    ASSERT_TRUE(built.rerankable(after));
+    const FlatProfileTree reranked = built.rerank(after);
+    SCOPED_TRACE(std::string(to_string(before.value_order)));
+    expect_same_flat(reranked, reference);
+    EXPECT_EQ(reranked.nodes().data(), built.nodes().data()) << "shape copied";
+    EXPECT_EQ(reranked.postings().data(), built.postings().data());
+
+    const NaiveMatcher oracle(set);
+    for (const Event& event :
+         testutil::event_stream(*after.event_distribution, 400, 13)) {
+      const FlatMatch got = reranked.match(event);
+      const FlatMatch want = reference.match(event);
+      ASSERT_EQ(got.operations, want.operations) << event.to_string();
+      EXPECT_TRUE(std::ranges::equal(got.span(), want.span())) << event.to_string();
+      EXPECT_EQ(testutil::sorted({got.span().begin(), got.span().end()}),
+                oracle.match(event).matched)
+          << event.to_string();
+    }
+  }
+}
+
+TEST_P(FlatRerankOracle, NodesOfOnePartitionReadOneCostSpan) {
+  const ProfileSet set = profiles();
+  TreeConfig config;
+  config.value_order = GetParam().value_order;
+  config.strategy = GetParam().strategy;
+  config.event_distribution = make_event_distribution(schema_, {"gauss"});
+  const FlatProfileTree flat =
+      FlatProfileTree::compile(ProfileTree::build(set, config))
+          .rerank(config);
+
+  // Partition key: attribute, cell bounds, edge pattern.
+  std::map<std::vector<std::int64_t>, std::size_t> first_of;
+  std::size_t shared = 0;
+  for (std::size_t n = 0; n < flat.node_count(); ++n) {
+    const FlatProfileTree::NodeRef& ref = flat.nodes()[n];
+    std::vector<std::int64_t> key{ref.attribute};
+    for (std::uint32_t i = ref.first_cell; i < ref.first_cell + ref.cell_count; ++i) {
+      key.push_back(flat.upper()[i]);
+      key.push_back(flat.child()[i] == ProfileTree::kMiss);
+    }
+    const auto [it, inserted] = first_of.emplace(std::move(key), n);
+    if (inserted) continue;
+    ++shared;
+    EXPECT_EQ(flat.cell_costs(n).data(), flat.cell_costs(it->second).data())
+        << "nodes " << it->second << " and " << n;
+  }
+  EXPECT_GT(shared, 0u) << "workload has no repeated partition";
+  EXPECT_EQ(flat.partition_count(), first_of.size());
+  EXPECT_LT(flat.partition_count(), flat.node_count());
+}
+
+TEST_P(FlatRerankOracle, KeepsTheSlabWhenCostsCannotChange) {
+  const ProfileSet set = profiles();
+  TreeConfig config;
+  config.value_order = GetParam().value_order;
+  config.strategy = GetParam().strategy;
+  config.event_distribution = make_event_distribution(schema_, {"gauss"});
+  const FlatProfileTree flat =
+      FlatProfileTree::compile(ProfileTree::build(set, config));
+  TreeConfig drifted = config;
+  drifted.event_distribution = make_event_distribution(schema_, {"d37"});
+  const FlatProfileTree reranked = flat.rerank(drifted);
+  const bool unchanged = config.strategy != SearchStrategy::kLinear ||
+                         !needs_event_distribution(config.value_order);
+  EXPECT_EQ(reranked.cell_costs(0).data() == flat.cell_costs(0).data(), unchanged);
+  expect_same_flat(reranked,
+                   FlatProfileTree::compile(ProfileTree::build(set, drifted)));
+}
+
+std::vector<RerankParam> rerank_params() {
+  std::vector<RerankParam> params;
+  for (const ValueOrder order :
+       {ValueOrder::kNaturalAscending, ValueOrder::kNaturalDescending,
+        ValueOrder::kEventProbability}) {
+    for (const SearchStrategy strategy :
+         {SearchStrategy::kLinear, SearchStrategy::kBinary,
+          SearchStrategy::kInterpolation, SearchStrategy::kHash}) {
+      for (const bool equality_only : {true, false}) {
+        params.push_back({order, strategy, equality_only});
+      }
+    }
+  }
+  return params;
+}
+
+std::string rerank_name(const ::testing::TestParamInfo<RerankParam>& info) {
+  std::string name = std::string(to_string(info.param.value_order)) + "_" +
+                     std::string(to_string(info.param.strategy)) +
+                     (info.param.equality_only ? "_equality" : "_range");
+  for (char& c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+  }
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(KeyedOrdersStrategiesAndProfiles, FlatRerankOracle,
+                         ::testing::ValuesIn(rerank_params()), rerank_name);
 
 }  // namespace
 }  // namespace genas

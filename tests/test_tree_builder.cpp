@@ -3,9 +3,11 @@
 // equality, range and multi-interval predicates, don't-cares, removed ids
 // and priority weights, under every value order and search strategy. Also
 // checks that the hashed memo never merges two different alive sets, and
-// that ProfileTree::rerank reproduces a fresh build.
+// that a rank-only re-rank of the compiled tree (FlatProfileTree::rerank)
+// reproduces a fresh build.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <set>
 
@@ -13,6 +15,7 @@
 #include "common/rng.hpp"
 #include "dist/shapes.hpp"
 #include "reference_tree.hpp"
+#include "tree/flat_tree.hpp"
 #include "tree/profile_tree.hpp"
 
 namespace genas {
@@ -170,6 +173,32 @@ TEST_P(TreeBuilderOracle, EqualsReferenceBuilderNodeForNode) {
   }
 }
 
+/// `flat` reproduces `fresh` cell for cell: directory, bounds, children,
+/// costs and leaves.
+void expect_reranked_as(const FlatProfileTree& flat, const ProfileTree& fresh) {
+  ASSERT_EQ(flat.node_count(), fresh.nodes().size());
+  EXPECT_EQ(flat.root(), fresh.root());
+  for (std::size_t n = 0; n < fresh.nodes().size(); ++n) {
+    const ProfileTree::Node& node = fresh.nodes()[n];
+    const FlatProfileTree::NodeRef& ref = flat.nodes()[n];
+    EXPECT_EQ(ref.attribute, node.attribute) << "node " << n;
+    ASSERT_EQ(ref.cell_count, node.cells.size()) << "node " << n;
+    for (std::size_t i = 0; i < node.cells.size(); ++i) {
+      EXPECT_EQ(flat.upper()[ref.first_cell + i], node.cells[i].hi);
+      EXPECT_EQ(flat.child()[ref.first_cell + i], node.child[i]);
+    }
+    EXPECT_TRUE(std::ranges::equal(flat.cell_costs(n), node.cost)) << "node " << n;
+  }
+  ASSERT_EQ(flat.leaf_count(), fresh.leaves().size());
+  for (std::size_t l = 0; l < fresh.leaves().size(); ++l) {
+    const auto begin = flat.postings().begin() + flat.leaf_offsets()[l];
+    const auto end = flat.postings().begin() + flat.leaf_offsets()[l + 1];
+    EXPECT_TRUE(std::equal(begin, end, fresh.leaves()[l].matched.begin(),
+                           fresh.leaves()[l].matched.end()))
+        << "leaf " << l;
+  }
+}
+
 class RerankOracle : public ::testing::TestWithParam<BuildCase> {};
 
 TEST_P(RerankOracle, EqualsFreshBuildUnderNewDistribution) {
@@ -181,16 +210,19 @@ TEST_P(RerankOracle, EqualsFreshBuildUnderNewDistribution) {
   TreeConfig after = before;
   after.event_distribution = random_joint(schema, rng);
 
-  const ProfileTree built = ProfileTree::build(profiles, before);
+  const ProfileTree fresh = ProfileTree::build(profiles, after);
+  const FlatProfileTree built =
+      FlatProfileTree::compile(ProfileTree::build(profiles, before));
   ASSERT_TRUE(built.rerankable(after));
-  expect_same_tree(built.rerank(after), ProfileTree::build(profiles, after));
+  expect_reranked_as(built.rerank(after), fresh);
 
   // A tree ranked by profile weights re-ranks into the same result too:
   // the value order never changes the shape.
   TreeConfig weighted = before;
   weighted.value_order = ValueOrder::kCombinedProbability;
-  expect_same_tree(ProfileTree::build(profiles, weighted).rerank(after),
-                   ProfileTree::build(profiles, after));
+  expect_reranked_as(
+      FlatProfileTree::compile(ProfileTree::build(profiles, weighted)).rerank(after),
+      fresh);
 }
 
 /// Every value order (or only those rerank accepts) × every strategy.
@@ -231,10 +263,11 @@ TEST(TreeRerank, EmptyProfileSetAndSchemaOrderRerank) {
   const SchemaPtr schema = small_schema();
   const ProfileSet empty(schema);
   TreeConfig config;  // schema order, natural ascending
-  const ProfileTree tree = ProfileTree::build(empty, config);
+  const FlatProfileTree tree =
+      FlatProfileTree::compile(ProfileTree::build(empty, config));
   config.value_order = ValueOrder::kNaturalDescending;
   ASSERT_TRUE(tree.rerankable(config));
-  expect_same_tree(tree.rerank(config), ProfileTree::build(empty, config));
+  expect_reranked_as(tree.rerank(config), ProfileTree::build(empty, config));
 }
 
 TEST(TreeRerank, RefusesShapeChangingConfigs) {
@@ -245,7 +278,8 @@ TEST(TreeRerank, RefusesShapeChangingConfigs) {
   config.attribute_order = {0, 1, 2};
   config.value_order = ValueOrder::kEventProbability;
   config.event_distribution = random_joint(schema, rng);
-  const ProfileTree tree = ProfileTree::build(profiles, config);
+  const FlatProfileTree tree =
+      FlatProfileTree::compile(ProfileTree::build(profiles, config));
 
   TreeConfig schema_order = config;
   schema_order.attribute_order.clear();  // empty reads as schema order
@@ -263,6 +297,11 @@ TEST(TreeRerank, RefusesShapeChangingConfigs) {
     EXPECT_FALSE(tree.rerankable(weighted));
     EXPECT_THROW((void)tree.rerank(weighted), Error);
   }
+
+  TreeConfig binary = config;
+  binary.strategy = SearchStrategy::kBinary;
+  EXPECT_FALSE(tree.rerankable(binary));
+  EXPECT_THROW((void)tree.rerank(binary), Error);
 
   TreeConfig no_distribution = config;
   no_distribution.event_distribution.reset();
