@@ -41,6 +41,27 @@ void return_delivery_scratch(std::vector<Delivery>&& buffer) {
   delivery_scratch_slot() = std::move(buffer);
 }
 
+/// Counts the publish calls in progress on this thread, across all brokers.
+/// Only the outermost one may refresh the thread's cached snapshot handles,
+/// so a nested publish (from a callback or drain hook) never releases a
+/// snapshot that an outer call borrowed.
+class PublishDepth {
+ public:
+  PublishDepth() noexcept : nested_(depth()++ > 0) {}
+  ~PublishDepth() { --depth(); }
+  PublishDepth(const PublishDepth&) = delete;
+  PublishDepth& operator=(const PublishDepth&) = delete;
+
+  bool nested() const noexcept { return nested_; }
+
+ private:
+  static std::uint32_t& depth() noexcept {
+    static thread_local std::uint32_t value = 0;
+    return value;
+  }
+  bool nested_;
+};
+
 std::uint64_t next_broker_id() {
   static std::atomic<std::uint64_t> counter{1};
   return counter.fetch_add(1, std::memory_order_relaxed);
@@ -430,16 +451,17 @@ void Broker::dispatch_composite_firings(std::unique_lock<std::mutex>& lock) {
   for (const auto& [callback, firing] : out) (*callback)(firing);
 }
 
-std::shared_ptr<const Broker::Snapshot> Broker::acquire_snapshot(
-    bool* rebuilt) {
+const Broker::Snapshot& Broker::acquire_snapshot(
+    bool nested, std::shared_ptr<const Snapshot>& pinned, bool* rebuilt) {
   // Per-thread snapshot handles. Only this thread ever touches its slots,
-  // so the fast path below performs no shared-state access beyond the
-  // version load and the refcount bump of the returned copy. The array is
-  // fully associative (linear scan of 8 entries): up to 8 live brokers per
-  // thread cache without evicting each other; beyond that, colliding
-  // brokers fall back to the mutex slow path on each publish. A slot of a
-  // destroyed broker pins one stale snapshot until the slot is reused or
-  // the thread exits.
+  // and only its outermost publish writes them, so the fast path below
+  // performs no shared-state access beyond the version load: the outermost
+  // call borrows the slot's handle, and a nested call copies it into
+  // `pinned`. The array is fully associative (linear scan of 8 entries):
+  // up to 8 live brokers per thread cache without evicting each other;
+  // beyond that, colliding brokers fall back to the mutex slow path on each
+  // publish. A slot of a destroyed broker pins one stale snapshot until the
+  // slot is reused or the thread exits.
   struct Slot {
     std::uint64_t broker = 0;
     std::shared_ptr<const Snapshot> snapshot;
@@ -459,7 +481,9 @@ std::shared_ptr<const Broker::Snapshot> Broker::acquire_snapshot(
   const std::uint64_t version = version_.load(std::memory_order_acquire);
   if (slot->broker == broker_id_ && slot->snapshot != nullptr &&
       slot->snapshot->version == version) {
-    return slot->snapshot;
+    if (!nested) return *slot->snapshot;
+    pinned = slot->snapshot;
+    return *pinned;
   }
 
   // Slow path: refresh the cache — and rebuild the snapshot if a mutation
@@ -492,9 +516,13 @@ std::shared_ptr<const Broker::Snapshot> Broker::acquire_snapshot(
     snapshot_rebuilds_.add(1);
     rebuild_pause_.observe(obs::now_ns() - pause_start);
   }
+  if (nested) {
+    pinned = snapshot_;
+    return *pinned;
+  }
   slot->broker = broker_id_;
   slot->snapshot = snapshot_;
-  return slot->snapshot;
+  return *slot->snapshot;
 }
 
 bool Broker::observe_adaptive(std::span<const Event> events) {
@@ -563,16 +591,20 @@ BatchPublishResult Broker::publish_batch_impl(
   const bool traced = trace_.sample(trace_countdown);
   const std::uint64_t trace_start = traced ? obs::now_ns() : 0;
 
-  // Held at function scope: the drain below dereferences raw pointers into
-  // the snapshot's route table, and a re-entrant publish from a callback
-  // would otherwise replace the only other owner (the thread-local cache).
-  const std::shared_ptr<const Snapshot> snapshot =
-      acquire_snapshot(&result.rebuilt);
-  const std::vector<Route>& routes = snapshot->routes;
+  // The drain below dereferences raw pointers into the snapshot's route
+  // table, so the snapshot must outlive it: the outermost call borrows the
+  // thread-local cache, which nested publishes leave alone, and a nested
+  // call holds its own handle in `pinned`.
+  const PublishDepth depth;
+  std::shared_ptr<const Snapshot> pinned;
+  const Snapshot& snapshot =
+      acquire_snapshot(depth.nested(), pinned, &result.rebuilt);
+  const std::vector<Route>& routes = snapshot.routes;
+  const FlatProfileTree& flat = *snapshot.match->flat;
 
   std::vector<Delivery> deliveries = take_delivery_scratch();
   for (std::size_t i = 0; i < events.size(); ++i) {
-    const FlatMatch match = snapshot->match->flat->match(events[i]);
+    const FlatMatch match = flat.match(events[i]);
     result.operations += match.operations;
     if (match.matched_count > 0) ++result.matched_events;
     for (const ProfileId profile : match.span()) {
@@ -601,7 +633,7 @@ BatchPublishResult Broker::publish_batch_impl(
         dedup_tokens.empty() ? 0 : dedup_tokens[i]});
   }
   return_delivery_scratch(std::move(deliveries));
-  for (const auto& hook : snapshot->drain_hooks) (*hook)();
+  for (const auto& hook : snapshot.drain_hooks) (*hook)();
   if (traced) delivery_latency_.observe(obs::now_ns() - trace_start);
   return result;
 }

@@ -272,8 +272,13 @@ class Broker {
 
   /// Returns the current snapshot: the thread-local cached handle when its
   /// version is current (lock-free), else refreshes — rebuilding the
-  /// snapshot if stale — under the mutation mutex.
-  std::shared_ptr<const Snapshot> acquire_snapshot(bool* rebuilt);
+  /// snapshot if stale — under the mutation mutex. The outermost publish on
+  /// a thread borrows the cached handle, which stays valid until that
+  /// publish returns; a `nested` one gets its own in `pinned` and leaves
+  /// the thread's cache untouched.
+  const Snapshot& acquire_snapshot(bool nested,
+                                   std::shared_ptr<const Snapshot>& pinned,
+                                   bool* rebuilt);
 
   /// The one publish body behind every publish/publish_batch overload;
   /// `dedup_tokens` is empty or parallel to `events`.

@@ -1,6 +1,7 @@
 #include "tree/flat_tree.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <unordered_map>
 
 #include "common/error.hpp"
@@ -36,6 +37,50 @@ bool same_partition(const ProfileTree::Node& a, const ProfileTree::Node& b) {
     }
   }
   return true;
+}
+
+/// Appends one partition's bucket table to `index` (see the header) and
+/// returns its shift. `upper` is the partition's cell upper bounds over a
+/// domain of `domain_size` values; its last entry is the domain's top.
+std::uint32_t append_index(std::span<const DomainIndex> upper,
+                           std::int64_t domain_size,
+                           std::vector<std::uint32_t>& index) {
+  const auto cap = static_cast<std::uint64_t>(
+      std::max<std::size_t>(16, 4 * upper.size()));
+  const auto top = static_cast<std::uint64_t>(domain_size - 1);
+  std::uint32_t shift = 0;
+  while ((top >> shift) + 1 > cap) ++shift;
+  const std::uint64_t buckets = (top >> shift) + 1;
+  std::uint32_t cell = 0;
+  const auto last = static_cast<std::uint32_t>(upper.size() - 1);
+  for (std::uint64_t b = 0; b <= buckets; ++b) {  // <= : the sentinel
+    const auto first_value = static_cast<DomainIndex>(b << shift);
+    while (cell < last && upper[cell] < first_value) ++cell;
+    index.push_back(cell);
+  }
+  return shift;
+}
+
+/// The value-index lookup of match(): the offset, among a node's cells, of
+/// the cell holding `v`. `upper` points at the node's first upper bound.
+inline std::uint32_t locate_cell(const FlatProfileTree::NodeRef& node,
+                                 const DomainIndex* upper,
+                                 const std::uint32_t* index,
+                                 DomainIndex v) noexcept {
+  // Events hold in-domain values only (Event::from_indices and from_pairs
+  // reject others), and the last cell ends at the domain's top, so v's
+  // bucket and the one after it are inside the node's table.
+  assert(v >= 0 && v <= upper[node.cell_count - 1]);
+  const std::uint32_t* bucket =
+      index + node.first_index + (static_cast<std::uint64_t>(v) >> node.shift);
+  std::uint32_t offset = bucket[0];
+  if (upper[offset] < v) {
+    // v lies past the bucket's first cell: search the cells up to the next
+    // bucket's, which ends at or beyond v. Never taken under shift 0.
+    offset = static_cast<std::uint32_t>(
+        std::lower_bound(upper + offset + 1, upper + bucket[1], v) - upper);
+  }
+  return offset;
 }
 
 }  // namespace
@@ -79,10 +124,19 @@ FlatProfileTree FlatProfileTree::compile(const ProfileTree& tree) {
       return same_partition(nodes[entry.second], node);
     });
     if (found != last) {
-      ref.first_cost = shape->nodes[found->second].first_cost;
+      const NodeRef& partition = shape->nodes[found->second];
+      ref.first_cost = partition.first_cost;
+      ref.first_index = partition.first_index;
+      ref.shift = partition.shift;
     } else {
       ref.first_cost = static_cast<std::uint32_t>(cost->size());
       cost->insert(cost->end(), node.cost.begin(), node.cost.end());
+      ref.first_index = static_cast<std::uint32_t>(shape->index.size());
+      ref.shift = append_index(
+          {shape->upper.data() + ref.first_cell, ref.cell_count},
+          shape->schema->attribute(node.attribute).domain.size(), shape->index);
+      GENAS_CHECK(shape->index.size() <= UINT32_MAX,
+                  "flat tree value index exceeds 2^32 entries");
       partitions.emplace(hash, static_cast<std::uint32_t>(n));
       shape->partition_node.push_back(static_cast<std::uint32_t>(n));
     }
@@ -116,10 +170,10 @@ FlatProfileTree FlatProfileTree::compile(const ProfileTree& tree) {
 }
 
 void FlatProfileTree::bind() noexcept {
-  walk_ = {shape_->root,          shape_->nodes.data(),
-           shape_->upper.data(),  shape_->child.data(),
-           cost_->data(),         shape_->leaf_offsets.data(),
-           shape_->postings.data()};
+  walk_ = {shape_->root,         shape_->nodes.data(),
+           shape_->upper.data(), shape_->child.data(),
+           shape_->index.data(), cost_->data(),
+           shape_->leaf_offsets.data(), shape_->postings.data()};
 }
 
 bool FlatProfileTree::rerankable(const TreeConfig& config) const {
@@ -171,14 +225,11 @@ FlatMatch FlatProfileTree::match(const Event& event) const noexcept {
   std::int32_t slot = walk_.root;
   while (slot >= 0) {
     const NodeRef node = walk_.nodes[static_cast<std::size_t>(slot)];
-    const DomainIndex v = indices[node.attribute];
-    // Locate the containing cell: binary search by upper bound over the
-    // node's contiguous slab span — the same uncounted lookup-table access
-    // as the node form (see profile_tree.cpp).
-    const DomainIndex* upper = walk_.upper + node.first_cell;
-    const DomainIndex* it = std::lower_bound(upper, upper + node.cell_count, v);
-    if (it == upper + node.cell_count) --it;  // defensive: v beyond domain edge
-    const auto offset = static_cast<std::uint32_t>(it - upper);
+    // Locate the containing cell through the value index — uncounted, like
+    // the node form's lookup (see profile_tree.cpp).
+    const std::uint32_t offset =
+        locate_cell(node, walk_.upper + node.first_cell, walk_.index,
+                    indices[node.attribute]);
     result.operations += walk_.cost[node.first_cost + offset];
     slot = walk_.child[node.first_cell + offset];
   }
@@ -189,6 +240,12 @@ FlatMatch FlatProfileTree::match(const Event& event) const noexcept {
     result.matched_count = walk_.leaf_offsets[leaf + 1] - begin;
   }
   return result;
+}
+
+std::uint32_t FlatProfileTree::locate(std::size_t node,
+                                      DomainIndex value) const noexcept {
+  const NodeRef& ref = walk_.nodes[node];
+  return locate_cell(ref, walk_.upper + ref.first_cell, walk_.index, value);
 }
 
 std::span<const std::uint32_t> FlatProfileTree::cell_costs(
@@ -202,6 +259,7 @@ std::size_t FlatProfileTree::arena_bytes() const noexcept {
   return shape.nodes.size() * sizeof(NodeRef) +
          shape.upper.size() * sizeof(DomainIndex) +
          shape.child.size() * sizeof(std::int32_t) +
+         shape.index.size() * sizeof(std::uint32_t) +
          cost_->size() * sizeof(std::uint32_t) +
          shape.leaf_offsets.size() * sizeof(std::uint32_t) +
          shape.postings.size() * sizeof(ProfileId) +

@@ -6,17 +6,31 @@
 // `child_[]` indexed by a per-node cell offset — plus a CSR posting slab for
 // the leaves. Cells partition each node's domain, so the upper bounds alone
 // locate a cell; a cell's lower bound is the previous cell's upper + 1.
-// A match then touches a handful of cache lines: the node directory entry,
-// the upper-bound slab span it binary searches, one cost, and (on a hit)
-// the leaf posting span.
+//
+// A value index maps an event value straight to its cell. Each node's
+// domain [0, size) is cut into buckets of 2^shift values, where shift is the
+// smallest for which the bucket count is at most max(16, 4 x cells); bucket
+// b's entry is the offset of the first cell whose upper bound is
+// >= b << shift, and one sentinel entry follows the last bucket. The walk
+// reads the entry of v's bucket; only when that cell ends below v does it
+// binary search the few cells up to the next bucket's entry. A node whose
+// domain has at most max(16, 4 x cells) values gets shift 0, where the entry
+// is the cell itself.
+// This is the physical form of the paper's hash probe (§4.2,
+// SearchStrategy::kHash). It is uncounted: the operations a match reports
+// remain those of the configured strategy, read from the cost slab.
+// A match then touches a handful of cache lines per level: the node
+// directory entry, one index entry, one upper bound, one cost and one
+// child, and (on a hit) the leaf posting span.
 //
 // The arena is split in two:
-//   * an immutable shape — directory, `upper_`, `child_`, leaf offsets and
-//     postings — that depends on the profiles and the attribute order only;
+//   * an immutable shape — directory, `upper_`, `child_`, the value index,
+//     leaf offsets and postings — that depends on the profiles and the
+//     attribute order only;
 //   * a cost slab keyed by partition. A partition is a node's (attribute,
-//     cell bounds, edge pattern); nodes sharing one read one cost span,
-//     which each directory entry points at, so the walk still does one cost
-//     load per level.
+//     cell bounds, edge pattern); nodes sharing one read one cost span and
+//     one index table, which each directory entry points at, so the walk
+//     still does one cost load per level.
 // Under a natural or V1 value order a cell's cost depends on nothing but
 // its partition and P_e, so rerank() serves a rank-only rebuild as a slab
 // swap: it plans every partition through the builder's cost rule
@@ -67,6 +81,8 @@ class FlatProfileTree {
     std::uint32_t first_cell = 0;  ///< into upper_ / child_
     std::uint32_t cell_count = 0;
     std::uint32_t first_cost = 0;  ///< the partition's span in the cost slab
+    std::uint32_t first_index = 0;  ///< the partition's value-index table
+    std::uint32_t shift = 0;  ///< bucket b: values [b << shift, (b+1) << shift)
   };
 
   /// Compiles the built node-form tree. The flat tree is self-contained; the
@@ -86,8 +102,14 @@ class FlatProfileTree {
   /// Throws kInvalidArgument unless rerankable(config).
   FlatProfileTree rerank(const TreeConfig& config) const;
 
-  /// Matches one event along the single DFSA path.
+  /// Matches one event along the single DFSA path. Every value must lie in
+  /// its attribute's domain, as Event's factories guarantee.
   FlatMatch match(const Event& event) const noexcept;
+
+  /// Offset within node `node`'s cells of the cell holding `value`, found
+  /// through the value index exactly as match() finds it. `value` must lie
+  /// in the node attribute's domain.
+  std::uint32_t locate(std::size_t node, DomainIndex value) const noexcept;
 
   const SchemaPtr& schema() const noexcept { return shape_->schema; }
   std::size_t node_count() const noexcept { return shape_->nodes.size(); }
@@ -112,6 +134,10 @@ class FlatProfileTree {
   std::span<const NodeRef> nodes() const noexcept { return shape_->nodes; }
   std::span<const DomainIndex> upper() const noexcept { return shape_->upper; }
   std::span<const std::int32_t> child() const noexcept { return shape_->child; }
+  /// Bucket tables of every partition; nodes()[n].first_index points in.
+  std::span<const std::uint32_t> value_index() const noexcept {
+    return shape_->index;
+  }
   std::span<const std::uint32_t> leaf_offsets() const noexcept {
     return shape_->leaf_offsets;
   }
@@ -124,7 +150,8 @@ class FlatProfileTree {
     return shape_->partition_node.size();
   }
 
-  /// Total bytes of the slab arenas (diagnostics / perf reports).
+  /// Total bytes of the slab arenas and the value index (diagnostics /
+  /// perf reports).
   std::size_t arena_bytes() const noexcept;
 
  private:
@@ -135,6 +162,7 @@ class FlatProfileTree {
     std::vector<NodeRef> nodes;            // indexed like ProfileTree::nodes()
     std::vector<DomainIndex> upper;        // cell slabs, per-node contiguous
     std::vector<std::int32_t> child;
+    std::vector<std::uint32_t> index;  // value index, one table per partition
     std::vector<std::uint32_t> leaf_offsets;  // CSR: leaves + 1 entries
     std::vector<ProfileId> postings;          // concatenated leaf match sets
     /// Representative node of each partition, in slab order.
@@ -159,6 +187,7 @@ class FlatProfileTree {
     const NodeRef* nodes = nullptr;
     const DomainIndex* upper = nullptr;
     const std::int32_t* child = nullptr;
+    const std::uint32_t* index = nullptr;
     const std::uint32_t* cost = nullptr;
     const std::uint32_t* leaf_offsets = nullptr;
     const ProfileId* postings = nullptr;

@@ -32,7 +32,10 @@ enum class SearchStrategy : std::uint8_t {
   kLinear,         ///< ordered scan with early stop (lookup table)
   kBinary,         ///< binary search on natural interval order
   kInterpolation,  ///< interpolation search on natural interval order
-  kHash,           ///< idealized hash probe: 1 operation per lookup
+  /// Idealized hash probe: 1 operation per lookup. FlatProfileTree's value
+  /// index is its physical form and serves every strategy's walk; the
+  /// operations a match counts remain the configured strategy's.
+  kHash,
 };
 
 std::string_view to_string(SearchStrategy strategy) noexcept;

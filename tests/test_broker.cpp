@@ -532,5 +532,54 @@ TEST_F(BrokerTest, BatchSurvivesReentrantSubscribeAndPublishMidDrain) {
   EXPECT_EQ(broker_.subscription_count(), 3u);
 }
 
+TEST_F(BrokerTest, OuterBatchKeepsItsSnapshotAcrossNestedPublishes) {
+  // The outermost publish borrows the thread's cached snapshot. A callback
+  // that subscribes (bumping the version) and then publishes re-entrantly
+  // — into this broker and into more brokers than the thread caches — must
+  // leave that snapshot alone: the rest of the outer batch is still
+  // delivered from it, and the next publish sees the new subscription.
+  std::vector<std::unique_ptr<Broker>> others;
+  int others_fired = 0;
+  for (int i = 0; i < 12; ++i) {
+    others.push_back(std::make_unique<Broker>(schema_));
+    others.back()->subscribe("temperature >= 0",
+                             [&](const Notification&) { ++others_fired; });
+  }
+  std::vector<std::int64_t> hot_temperatures;
+  int late_fired = 0;
+  int nested_publishes = 0;
+  broker_.subscribe("temperature >= 35", [&](const Notification& n) {
+    hot_temperatures.push_back(n.event.value("temperature").as_int());
+    if (hot_temperatures.size() != 1) return;
+    broker_.subscribe("humidity >= 0", [&](const Notification&) { ++late_fired; });
+    broker_.publish("temperature = 10; humidity = 1; radiation = 1");
+    for (const auto& other : others) {
+      other->publish("temperature = 20; humidity = 1; radiation = 1");
+    }
+    ++nested_publishes;
+  });
+  int drains = 0;
+  broker_.add_drain_hook([&] { ++drains; });
+
+  std::vector<Event> events;
+  for (const std::int64_t t : {40, 10, 45, 50}) {
+    events.push_back(Event::from_pairs(
+        schema_, {{"temperature", t}, {"humidity", 0}, {"radiation", 1}}));
+  }
+  const BatchPublishResult result = broker_.publish_batch(events);
+  EXPECT_EQ(nested_publishes, 1);
+  EXPECT_EQ(result.notified, 3u);  // the snapshot taken before subscribing
+  EXPECT_EQ(hot_temperatures, (std::vector<std::int64_t>{40, 45, 50}));
+  EXPECT_EQ(late_fired, 1);        // only the nested publish saw it
+  EXPECT_EQ(others_fired, 12);
+  EXPECT_EQ(drains, 2);            // nested, then outer
+
+  const PublishResult next =
+      broker_.publish("temperature = 40; humidity = 1; radiation = 1");
+  EXPECT_EQ(next.notified, 2u);
+  EXPECT_EQ(late_fired, 2);
+  EXPECT_EQ(drains, 3);
+}
+
 }  // namespace
 }  // namespace genas
