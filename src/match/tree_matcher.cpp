@@ -17,17 +17,10 @@ void TreeMatcher::rebuild(const ProfileSet& profiles) {
 }
 
 MatchOutcome TreeMatcher::match(const Event& event) const {
+  const FlatMatch result = flat_->match(event);
   MatchOutcome outcome;
-  if (use_flat_) {
-    const FlatMatch result = flat_->match(event);
-    outcome.operations = result.operations;
-    outcome.matched.assign(result.matched,
-                           result.matched + result.matched_count);
-  } else {
-    const TreeMatch result = tree_->match(event);
-    outcome.operations = result.operations;
-    if (result.matched != nullptr) outcome.matched = *result.matched;
-  }
+  outcome.operations = result.operations;
+  outcome.matched.assign(result.matched, result.matched + result.matched_count);
   return outcome;
 }
 

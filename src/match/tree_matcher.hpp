@@ -21,8 +21,7 @@ class TreeMatcher final : public Matcher {
 
   std::string_view name() const noexcept override { return "tree"; }
 
-  /// Matches against the flat compiled form (the hot path). Set
-  /// `use_flat_layout(false)` to force the node form (layout benchmarks).
+  /// Matches against the flat compiled form.
   MatchOutcome match(const Event& event) const override;
 
   void rebuild(const ProfileSet& profiles) override;
@@ -30,14 +29,11 @@ class TreeMatcher final : public Matcher {
   const ProfileTree& tree() const noexcept { return *tree_; }
   const FlatProfileTree& flat() const noexcept { return *flat_; }
 
-  void use_flat_layout(bool flat) noexcept { use_flat_ = flat; }
-
  private:
   OrderingPolicy policy_;
   std::optional<JointDistribution> distribution_;
   std::unique_ptr<const ProfileTree> tree_;
   std::unique_ptr<const FlatProfileTree> flat_;
-  bool use_flat_ = true;
 };
 
 }  // namespace genas

@@ -996,13 +996,6 @@ void MeshNetwork::handle_message(Node& node, NodeMsg& message) {
 void MeshNetwork::handle_link_payload(Node& node, NodeId source,
                                       const Bytes& raw,
                                       wire::Message& decoded) {
-  if (auto* event = std::get_if<wire::EventMsg>(&decoded)) {
-    node.batch_events.push_back(std::move(event->event));
-    node.batch_sources.push_back(source);
-    node.batch_tokens.push_back(0);
-    return;
-  }
-
   std::size_t from_index = node.peers.size();
   for (std::size_t p = 0; p < node.peers.size(); ++p) {
     if (node.peers[p]->node == source) {

@@ -116,9 +116,7 @@ struct MeshOptions {
   /// a link's pending batch flushes when it reaches this many events or at
   /// the round boundary, whichever comes first. On reliable links the whole
   /// batch rides one sequenced envelope (one seq/ack instead of one per
-  /// event). 1 reproduces the unbatched wire traffic exactly — each event
-  /// travels as a legacy kEvent frame, byte-identical to the pre-batching
-  /// mesh.
+  /// event). 1 = one event per frame (a batch of one each).
   std::size_t link_batch_max = 256;
   /// Cap on a node's staged outbox frames (frames held back by a full peer
   /// mailbox), summed across its links. 0 = unbounded (the historical
@@ -348,8 +346,8 @@ class MeshNetwork {
       const std::shared_ptr<const std::vector<std::uint8_t>>& raw,
       wire::Message& decoded);
   void route_events(Node& node);
-  /// Sends a link's pending event batch (one kEventBatch frame, or a plain
-  /// kEvent when it holds a single event) and resets the link's builder.
+  /// Sends a link's pending event batch as one kEventBatch frame and
+  /// resets the link's builder.
   void flush_link_batch(Node& node, std::size_t peer_index);
   /// Sends one shared wire frame to every peer except `skip_index` (pass
   /// peers.size() to reach all peers).

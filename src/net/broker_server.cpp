@@ -66,6 +66,14 @@ struct BrokerServer::Connection {
   /// Drain hook this connection registered on the served broker (0: none).
   DrainHookId drain_hook = 0;
 
+  /// Publish ingest scratch (handler-thread-owned): kEventBatch frames
+  /// decode into `events` / `tokens` with index storage drawn from
+  /// `arena`, and a broker-mode publish recycles it — once warm, ingest
+  /// allocates no event storage.
+  wire::EventArena arena;
+  std::vector<Event> events;
+  std::vector<std::uint64_t> tokens;
+
   /// Writes one frame, flushing staged deliveries ahead of it; false (and
   /// a wake of the reader via shutdown) when the connection is closed,
   /// stalls past the write timeout, or errors.
@@ -379,6 +387,18 @@ void BrokerServer::run_accept_loop() {
 void BrokerServer::run_connection(std::shared_ptr<Connection> connection) {
   Impl& impl = *impl_;
   Connection& c = *connection;
+  // Publishes the decoded scratch run and leaves the scratch empty.
+  const auto publish_ingested = [&impl, &c] {
+    if (impl.broker != nullptr) {
+      impl.broker->publish_batch(c.events, c.tokens);
+      c.arena.recycle_all(c.events);
+    } else {
+      impl.mesh->publish_batch(impl.node, std::move(c.events),
+                               std::move(c.tokens));
+      c.events.clear();
+    }
+    c.tokens.clear();
+  };
   try {
     if (!c.write(impl.schema_frame)) {
       throw_error(ErrorCode::kState, "broker server: schema handshake failed");
@@ -389,6 +409,14 @@ void BrokerServer::run_connection(std::shared_ptr<Connection> connection) {
       if (!frame) break;  // clean disconnect
       impl.frames_read.add(1);
       impl.bytes_read.add(frame->size());
+      // Publishes skip wire::Message: the batch decodes straight into the
+      // connection's scratch.
+      if (wire::peek_type(*frame) == wire::MessageType::kEventBatch) {
+        wire::decode_event_batch(*frame, impl.schema, c.arena, c.events,
+                                 c.tokens);
+        publish_ingested();
+        continue;
+      }
       wire::Message message = wire::decode_message(*frame, impl.schema);
 
       if (auto* hello = std::get_if<wire::HelloMsg>(&message)) {
@@ -425,10 +453,17 @@ void BrokerServer::run_connection(std::shared_ptr<Connection> connection) {
       if (auto* link = std::get_if<wire::LinkFrameMsg>(&message)) {
         GENAS_REQUIRE(c.session_id != 0, ErrorCode::kState,
                       "broker server: sequenced publish before hello");
-        wire::Message inner = wire::decode_message(link->inner, impl.schema);
-        auto* event = std::get_if<wire::EventMsg>(&inner);
-        GENAS_REQUIRE(event != nullptr, ErrorCode::kState,
-                      "broker server: link envelope must carry an event");
+        GENAS_REQUIRE(
+            wire::peek_type(link->inner) == wire::MessageType::kEventBatch,
+            ErrorCode::kState,
+            "broker server: link envelope must carry an event batch");
+        // One sequence is one publish and one dedup token: a batch of any
+        // other size is refused.
+        const std::size_t carried = wire::decode_event_batch(
+            link->inner, impl.schema, c.arena, c.events, c.tokens);
+        GENAS_REQUIRE(carried == 1, ErrorCode::kState,
+                      "broker server: link envelope must carry exactly one "
+                      "event");
         bool fresh = false;
         {
           const std::scoped_lock lock(impl.sessions_mutex);
@@ -445,15 +480,12 @@ void BrokerServer::run_connection(std::shared_ptr<Connection> connection) {
         }
         if (!fresh) {
           impl.duplicates.add(1);
+          c.arena.recycle_all(c.events);
+          c.tokens.clear();
           continue;
         }
-        const std::uint64_t token =
-            publish_token(c.session_id, link->sequence);
-        if (impl.broker != nullptr) {
-          impl.broker->publish(event->event, token);
-        } else {
-          impl.mesh->publish(impl.node, std::move(event->event), token);
-        }
+        c.tokens.front() = publish_token(c.session_id, link->sequence);
+        publish_ingested();
         continue;
       }
 
@@ -535,15 +567,6 @@ void BrokerServer::run_connection(std::shared_ptr<Connection> connection) {
           impl.mesh->unsubscribe(it->second);
         }
         c.csubs.erase(it);
-        continue;
-      }
-
-      if (auto* event = std::get_if<wire::EventMsg>(&message)) {
-        if (impl.broker != nullptr) {
-          impl.broker->publish(event->event);
-        } else {
-          impl.mesh->publish(impl.node, std::move(event->event));
-        }
         continue;
       }
 

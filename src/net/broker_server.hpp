@@ -5,7 +5,7 @@
 // ens::Broker or one node of a running mesh::MeshNetwork (so a socket
 // client participates in distributed routing exactly like a local
 // subscriber at that node). Deliveries and composite firings stream back to
-// the owning client as kDelivery / kCompositeFiring frames.
+// the owning client as kDeliveryBatch / kCompositeFiring frames.
 //
 // Protocol (one TCP connection per client, frames from src/wire):
 //   server -> client   kSchema            handshake: the service schema;
@@ -15,17 +15,23 @@
 //                      kUnsubscribe(key)
 //                      kCompositeSubscribe(key, expr)
 //                      kCompositeUnsubscribe(key)
-//                      kEvent             publish at the served broker/node
+//                      kEventBatch        publish at the served broker/node
+//                                         (a client publish is a batch of
+//                                         one; per-event dedup tokens, if
+//                                         carried, are honored)
 //                      kFlush(token)      barrier (see below)
 //                      kHello(session)    open/resume an at-least-once
 //                                         session (reconnect-mode clients)
-//                      kLinkFrame(seq, kEvent)
-//                                         sequenced publish: dropped when
-//                                         seq is under the session's
-//                                         watermark (replay dedup), else
-//                                         published with a dedup token
-//                                         mixed from (session, seq)
-//   server -> client   kDelivery(key, event)
+//                      kLinkFrame(seq, kEventBatch)
+//                                         sequenced publish of exactly one
+//                                         event (any other inner frame or
+//                                         count is a protocol error):
+//                                         dropped when seq is under the
+//                                         session's watermark (replay
+//                                         dedup), else published with a
+//                                         dedup token mixed from
+//                                         (session, seq)
+//   server -> client   kDeliveryBatch(keys, events)
 //                      kCompositeFiring(key, time)
 //                      kFlushDone(token)
 //                      kHelloAck(resumed, session, publish watermark)
@@ -92,8 +98,8 @@ struct ServerOptions {
   /// The stage also flushes at the end of every publish (broker drain
   /// hook) and before any non-delivery frame, so batching never delays a
   /// notification past the publish that produced it or reorders it against
-  /// a flush barrier. 1 = every delivery rides its own legacy kDelivery
-  /// frame (the pre-batching wire traffic, byte for byte).
+  /// a flush barrier. 1 = one delivery per frame (a batch of one each,
+  /// flushed inline).
   std::size_t delivery_batch_max = 64;
 };
 

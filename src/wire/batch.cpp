@@ -107,35 +107,24 @@ void EventBatchBuilder::append(const Event& event, std::uint64_t token) {
     writer_.u64(static_cast<std::uint64_t>(index));
   }
   writer_.i64(event.time());
-  tokens_.push_back(token);
-  any_token_ = any_token_ || token != 0;
+  // The token run starts at the first nonzero token, back-filling the
+  // earlier events with 0: a token-free batch allocates nothing here.
+  if (token != 0 || !tokens_.empty()) {
+    tokens_.resize(count_, 0);
+    tokens_.push_back(token);
+  }
   ++count_;
 }
 
 std::vector<std::uint8_t> EventBatchBuilder::take_frame() {
   GENAS_CHECK(count_ > 0, "take_frame on an empty batch builder");
-  std::vector<std::uint8_t> frame;
-  if (count_ == 1 && !any_token_) {
-    // Degenerate to the legacy kEvent frame: identical payload bytes plus
-    // the per-event attribute count the batch format leaves implicit.
-    Writer single;
-    const std::size_t at = detail::begin_frame(single, MessageType::kEvent);
-    single.u32(attr_count_);
-    const std::span<const std::uint8_t> bytes(writer_.bytes());
-    single.raw(bytes.subspan(flag_at_ + 1));
-    frame = detail::end_frame(single, at);
-  } else {
-    writer_.patch_u32(count_at_, static_cast<std::uint32_t>(count_));
-    if (any_token_) {
-      writer_.patch_u8(flag_at_, 1);
-      for (const std::uint64_t token : tokens_) writer_.u64(token);
-    }
-    frame = detail::end_frame(writer_, length_at_);
+  writer_.patch_u32(count_at_, static_cast<std::uint32_t>(count_));
+  if (!tokens_.empty()) {
+    writer_.patch_u8(flag_at_, 1);
+    for (const std::uint64_t token : tokens_) writer_.u64(token);
   }
-  writer_.clear();
-  tokens_.clear();
-  count_ = 0;
-  any_token_ = false;
+  std::vector<std::uint8_t> frame = detail::end_frame(writer_, length_at_);
+  reset();
   return frame;
 }
 
@@ -143,7 +132,6 @@ void EventBatchBuilder::reset() noexcept {
   writer_.clear();
   tokens_.clear();
   count_ = 0;
-  any_token_ = false;
 }
 
 void DeliveryBatchBuilder::append(std::uint64_t key, const Event& event) {
@@ -165,24 +153,9 @@ void DeliveryBatchBuilder::append(std::uint64_t key, const Event& event) {
 
 std::vector<std::uint8_t> DeliveryBatchBuilder::take_frame() {
   GENAS_CHECK(count_ > 0, "take_frame on an empty batch builder");
-  std::vector<std::uint8_t> frame;
-  if (count_ == 1) {
-    // Degenerate to the legacy kDelivery frame: key, then the attribute
-    // count the batch format leaves implicit, then the same index run.
-    Writer single;
-    const std::size_t at = detail::begin_frame(single, MessageType::kDelivery);
-    const std::span<const std::uint8_t> bytes(writer_.bytes());
-    const std::size_t body = count_at_ + 4;
-    single.raw(bytes.subspan(body, 8));  // subscription key
-    single.u32(attr_count_);
-    single.raw(bytes.subspan(body + 8));  // indices + timestamp
-    frame = detail::end_frame(single, at);
-  } else {
-    writer_.patch_u32(count_at_, static_cast<std::uint32_t>(count_));
-    frame = detail::end_frame(writer_, length_at_);
-  }
-  writer_.clear();
-  count_ = 0;
+  writer_.patch_u32(count_at_, static_cast<std::uint32_t>(count_));
+  std::vector<std::uint8_t> frame = detail::end_frame(writer_, length_at_);
+  reset();
   return frame;
 }
 

@@ -9,9 +9,8 @@
 //   - EventBatchBuilder / DeliveryBatchBuilder accumulate events into one
 //     kEventBatch / kDeliveryBatch frame incrementally (no intermediate
 //     Event copies — indices are serialized straight into the frame
-//     buffer). A single token-free event degenerates to the legacy kEvent /
-//     kDelivery frame, byte-identical to the unbatched path, so a batch
-//     cap of 1 reproduces the old wire traffic exactly.
+//     buffer). These are the only event and delivery frames: a single
+//     event or delivery travels as a batch of one.
 //
 //   - EventArena + decode_event_batch materialize a received batch into a
 //     caller-owned vector, drawing every index vector from a free-list of
@@ -82,10 +81,9 @@ class EventBatchBuilder {
   std::size_t pending() const noexcept { return count_; }
   bool empty() const noexcept { return count_ == 0; }
 
-  /// Finishes and returns the pending frame, resetting the builder for the
-  /// next batch. One token-free event yields a plain kEvent frame; anything
-  /// else a kEventBatch (with the token run appended iff any token was
-  /// nonzero). Asserts on an empty builder.
+  /// Finishes and returns the pending kEventBatch frame (with the token run
+  /// appended iff any token was nonzero), resetting the builder for the
+  /// next batch. Asserts on an empty builder.
   std::vector<std::uint8_t> take_frame();
 
   /// Discards the pending frame without emitting it (error recovery).
@@ -93,18 +91,17 @@ class EventBatchBuilder {
 
  private:
   Writer writer_;
+  /// Empty until the first nonzero token; then one token per event.
   std::vector<std::uint64_t> tokens_;
   std::size_t count_ = 0;
   std::size_t length_at_ = 0;
   std::size_t count_at_ = 0;
   std::size_t flag_at_ = 0;
   std::uint32_t attr_count_ = 0;
-  bool any_token_ = false;
 };
 
 /// Accumulates (subscription key, event) deliveries into one pending
-/// kDeliveryBatch frame. Same contract as EventBatchBuilder; a single
-/// delivery degenerates to a plain kDelivery frame.
+/// kDeliveryBatch frame. Same contract as EventBatchBuilder.
 class DeliveryBatchBuilder {
  public:
   void append(std::uint64_t key, const Event& event);

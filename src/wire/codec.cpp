@@ -12,14 +12,11 @@ namespace genas::wire {
 std::string_view to_string(MessageType type) noexcept {
   switch (type) {
     case MessageType::kSchema:      return "schema";
-    case MessageType::kEvent:       return "event";
-    case MessageType::kProfile:     return "profile";
     case MessageType::kSubscribe:   return "subscribe";
     case MessageType::kUnsubscribe: return "unsubscribe";
     case MessageType::kCompositeSubscribe:   return "csubscribe";
     case MessageType::kCompositeUnsubscribe: return "cunsubscribe";
     case MessageType::kCompositeFiring:      return "cfiring";
-    case MessageType::kDelivery:             return "delivery";
     case MessageType::kFlush:                return "flush";
     case MessageType::kFlushDone:            return "flushdone";
     case MessageType::kLinkFrame:            return "linkframe";
@@ -34,6 +31,18 @@ std::string_view to_string(MessageType type) noexcept {
   return "?";
 }
 
+namespace {
+
+/// The one type-byte check behind probe_frame and read_header: a defined
+/// MessageType, never a reserved code (2, 3 and 9 named the retired
+/// single-event, bare-profile and single-delivery frames).
+bool is_message_type(std::uint8_t type) noexcept {
+  return type >= static_cast<std::uint8_t>(MessageType::kSchema) &&
+         type <= kMaxMessageType && type != 2 && type != 3 && type != 9;
+}
+
+}  // namespace
+
 FrameProbe probe_frame(std::span<const std::uint8_t> data) noexcept {
   // Validate each header byte as soon as it is present: a corrupt stream
   // fails on the first bad byte instead of stalling in need-more forever.
@@ -46,9 +55,7 @@ FrameProbe probe_frame(std::span<const std::uint8_t> data) noexcept {
   if (data.size() >= 3 && data[2] != kWireVersion) {
     return {FrameStatus::kCorrupt, 0, "unsupported wire version"};
   }
-  if (data.size() >= 4 &&
-      (data[3] < static_cast<std::uint8_t>(MessageType::kSchema) ||
-       data[3] > kMaxMessageType)) {
+  if (data.size() >= 4 && !is_message_type(data[3])) {
     return {FrameStatus::kCorrupt, 0, "unknown message type"};
   }
   if (data.size() < kFrameHeaderSize) {
@@ -113,10 +120,6 @@ void Writer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 void Writer::str(std::string_view s) {
   u32(static_cast<std::uint32_t>(s.size()));
   buffer_.insert(buffer_.end(), s.begin(), s.end());
-}
-
-void Writer::raw(std::span<const std::uint8_t> bytes) {
-  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
 }
 
 void Writer::patch_u32(std::size_t position, std::uint32_t v) {
@@ -252,41 +255,6 @@ SchemaPtr decode_schema(Reader& r) {
       }
     }
     return builder.build();
-  });
-}
-
-void encode_event(Writer& w, const Event& event) {
-  const std::vector<DomainIndex>& indices = event.indices();
-  w.u32(static_cast<std::uint32_t>(indices.size()));
-  for (const DomainIndex index : indices) {
-    w.u64(static_cast<std::uint64_t>(index));
-  }
-  w.i64(event.time());
-}
-
-Event decode_event(Reader& r, const SchemaPtr& schema) {
-  return as_parse([&] {
-    GENAS_REQUIRE(schema != nullptr, ErrorCode::kInvalidArgument,
-                  "event decoding requires a schema");
-    const std::uint32_t attributes = r.count(r.u32(), 8);
-    if (attributes != schema->attribute_count()) {
-      parse_fail("event attribute count " + std::to_string(attributes) +
-                 " does not match schema (" +
-                 std::to_string(schema->attribute_count()) + ")");
-    }
-    std::vector<DomainIndex> indices;
-    indices.reserve(attributes);
-    for (std::uint32_t a = 0; a < attributes; ++a) {
-      const std::uint64_t raw = r.u64();
-      const std::int64_t domain_size = schema->attribute(a).domain.size();
-      if (raw >= static_cast<std::uint64_t>(domain_size)) {
-        parse_fail("event index " + std::to_string(raw) +
-                   " outside domain of '" + schema->attribute(a).name + "'");
-      }
-      indices.push_back(static_cast<DomainIndex>(raw));
-    }
-    const Timestamp time = r.i64();
-    return Event::from_indices(schema, std::move(indices), time);
   });
 }
 
@@ -452,20 +420,6 @@ std::vector<std::uint8_t> frame_schema(const Schema& schema) {
   return end_frame(w, at);
 }
 
-std::vector<std::uint8_t> frame_event(const Event& event) {
-  Writer w;
-  const std::size_t at = begin_frame(w, MessageType::kEvent);
-  encode_event(w, event);
-  return end_frame(w, at);
-}
-
-std::vector<std::uint8_t> frame_profile(const Profile& profile) {
-  Writer w;
-  const std::size_t at = begin_frame(w, MessageType::kProfile);
-  encode_profile(w, profile);
-  return end_frame(w, at);
-}
-
 std::vector<std::uint8_t> frame_subscribe(std::uint64_t key,
                                           const Profile& profile) {
   Writer w;
@@ -504,15 +458,6 @@ std::vector<std::uint8_t> frame_composite_firing(std::uint64_t key,
   const std::size_t at = begin_frame(w, MessageType::kCompositeFiring);
   w.u64(key);
   w.i64(time);
-  return end_frame(w, at);
-}
-
-std::vector<std::uint8_t> frame_delivery(std::uint64_t key,
-                                         const Event& event) {
-  Writer w;
-  const std::size_t at = begin_frame(w, MessageType::kDelivery);
-  w.u64(key);
-  encode_event(w, event);
   return end_frame(w, at);
 }
 
@@ -623,8 +568,7 @@ MessageType read_header(Reader& r, std::size_t frame_size) {
     parse_fail("unsupported wire version " + std::to_string(version));
   }
   const std::uint8_t type = r.u8();
-  if (type < static_cast<std::uint8_t>(MessageType::kSchema) ||
-      type > kMaxMessageType) {
+  if (!is_message_type(type)) {
     parse_fail("unknown message type " + std::to_string(type));
   }
   const std::uint32_t length = r.u32();
@@ -648,16 +592,6 @@ Message decode_message(std::span<const std::uint8_t> frame,
   switch (type) {
     case MessageType::kSchema: {
       SchemaMsg msg{decode_schema(r)};
-      r.expect_done();
-      return msg;
-    }
-    case MessageType::kEvent: {
-      EventMsg msg{decode_event(r, schema)};
-      r.expect_done();
-      return msg;
-    }
-    case MessageType::kProfile: {
-      ProfileMsg msg{decode_profile(r, schema)};
       r.expect_done();
       return msg;
     }
@@ -686,12 +620,6 @@ Message decode_message(std::span<const std::uint8_t> frame,
     case MessageType::kCompositeFiring: {
       const std::uint64_t key = r.u64();
       CompositeFiringMsg msg{key, r.i64()};
-      r.expect_done();
-      return msg;
-    }
-    case MessageType::kDelivery: {
-      const std::uint64_t key = r.u64();
-      DeliveryMsg msg{key, decode_event(r, schema)};
       r.expect_done();
       return msg;
     }

@@ -24,10 +24,9 @@
 //   schema       u32 attr_count, then per attribute: str name, u8 kind,
 //                int: i64 lo, i64 hi | real: f64 lo, f64 hi, f64 resolution |
 //                cat: u32 count, count * str
-//   event        u32 index_count, count * u64 domain index, i64 timestamp
-//   profile      u32 predicate_count, then per predicate: u32 attribute,
-//                u8 op, u32 interval_count, count * (i64 lo, i64 hi)
-//   subscribe    u64 subscription key, profile payload
+//   subscribe    u64 subscription key, then the profile payload: u32
+//                predicate_count, then per predicate: u32 attribute, u8 op,
+//                u32 interval_count, count * (i64 lo, i64 hi)
 //   unsubscribe  u64 subscription key
 //   csubscribe   u64 subscription key, composite expression pre-order:
 //                u8 kind, then primitive: profile payload |
@@ -36,8 +35,6 @@
 //                kMaxCompositeDepth)
 //   cunsubscribe u64 subscription key
 //   cfiring      u64 subscription key, i64 completion timestamp
-//   delivery     u64 subscription key, event payload (server -> client:
-//                a notification for the client's subscription `key`)
 //   flush        u64 token (client -> server: barrier request — the server
 //                processes it after every earlier frame on the connection,
 //                drains/flushes buffered composite state, and replies)
@@ -62,10 +59,12 @@
 //                attribute count is taken from the shared schema once for
 //                the whole batch (no per-event count), so the events pack
 //                as contiguous index runs. When has_tokens is 1 the payload
-//                ends with event_count * u64 dedup tokens.
+//                ends with event_count * u64 dedup tokens. The only event
+//                frame: a single event is a batch of one.
 //   deliverybatch u32 count (>= 1), then per delivery: u64 subscription
 //                key, attr_count * u64 domain index, i64 timestamp
-//                (server -> client: a coalesced run of notifications)
+//                (server -> client: notifications for the client's
+//                subscription keys). The only delivery frame.
 //   statssnap    u32 metric_count, then per metric: str name, u8 kind
 //                (obs::MetricKind), i64 value, u32 bound_count (0 unless
 //                histogram), bound_count * u64 bucket upper bounds,
@@ -75,6 +74,11 @@
 // Events and profiles are encoded against a schema both ends share (the
 // mesh distributes it out of band or via a kSchema frame); decode_* take
 // that schema and validate against it.
+//
+// Type codes 2, 3 and 9 are reserved: they once named single-event,
+// bare-profile and single-delivery frames. The version stays 1 — every
+// other frame's bytes are unchanged, so persisted journals still load —
+// and a reserved code is rejected like any unknown type.
 //
 // Streaming: decode_message requires one exact frame, but a byte stream
 // (TCP) delivers arbitrary prefixes. probe_frame classifies a buffer
@@ -107,14 +111,11 @@ inline constexpr std::size_t kMaxCompositeDepth = 64;
 
 enum class MessageType : std::uint8_t {
   kSchema = 1,
-  kEvent = 2,
-  kProfile = 3,
   kSubscribe = 4,
   kUnsubscribe = 5,
   kCompositeSubscribe = 6,
   kCompositeUnsubscribe = 7,
   kCompositeFiring = 8,
-  kDelivery = 9,
   kFlush = 10,
   kFlushDone = 11,
   kLinkFrame = 12,
@@ -127,8 +128,9 @@ enum class MessageType : std::uint8_t {
   kDeliveryBatch = 19,
 };
 
-/// Highest valid MessageType value; probe_frame/read_header reject types
-/// beyond it. Keep in sync when adding message types.
+/// Highest MessageType value; probe_frame/read_header reject types
+/// beyond it and the reserved codes below it. Keep in sync when adding
+/// message types.
 inline constexpr std::uint8_t kMaxMessageType =
     static_cast<std::uint8_t>(MessageType::kDeliveryBatch);
 
@@ -176,12 +178,10 @@ class Writer {
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v);
   void str(std::string_view s);  ///< u32 length + raw bytes
-  void raw(std::span<const std::uint8_t> bytes);  ///< bytes only, no length
 
   std::size_t size() const noexcept { return buffer_.size(); }
   void clear() noexcept { buffer_.clear(); }  ///< reset, keeping capacity
   std::vector<std::uint8_t> take() { return std::move(buffer_); }
-  const std::vector<std::uint8_t>& bytes() const noexcept { return buffer_; }
 
   /// Overwrites 4 bytes at `position` (frame length back-patching).
   void patch_u32(std::size_t position, std::uint32_t v);
@@ -232,8 +232,6 @@ std::vector<std::uint8_t> end_frame(Writer& w, std::size_t length_at);
 // Payload codecs (no frame header).
 void encode_schema(Writer& w, const Schema& schema);
 SchemaPtr decode_schema(Reader& r);
-void encode_event(Writer& w, const Event& event);
-Event decode_event(Reader& r, const SchemaPtr& schema);
 void encode_profile(Writer& w, const Profile& profile);
 Profile decode_profile(Reader& r, const SchemaPtr& schema);
 /// Pre-order expression encoding; every leaf must be a profile leaf
@@ -244,8 +242,6 @@ CompositeExprPtr decode_composite(Reader& r, const SchemaPtr& schema);
 
 // Framed messages (header + payload, ready for a link).
 std::vector<std::uint8_t> frame_schema(const Schema& schema);
-std::vector<std::uint8_t> frame_event(const Event& event);
-std::vector<std::uint8_t> frame_profile(const Profile& profile);
 std::vector<std::uint8_t> frame_subscribe(std::uint64_t key,
                                           const Profile& profile);
 std::vector<std::uint8_t> frame_unsubscribe(std::uint64_t key);
@@ -254,8 +250,6 @@ std::vector<std::uint8_t> frame_composite_subscribe(std::uint64_t key,
 std::vector<std::uint8_t> frame_composite_unsubscribe(std::uint64_t key);
 std::vector<std::uint8_t> frame_composite_firing(std::uint64_t key,
                                                  Timestamp time);
-std::vector<std::uint8_t> frame_delivery(std::uint64_t key,
-                                         const Event& event);
 std::vector<std::uint8_t> frame_flush(std::uint64_t token);
 std::vector<std::uint8_t> frame_flush_done(std::uint64_t token);
 /// Wraps one complete inner frame in an at-least-once envelope; the inner
@@ -269,27 +263,20 @@ std::vector<std::uint8_t> frame_hello_ack(bool resumed,
                                           std::uint64_t publish_watermark);
 std::vector<std::uint8_t> frame_stats_request();
 std::vector<std::uint8_t> frame_stats_snapshot(const obs::StatsSnapshot& stats);
-/// Frames a run of events sharing one schema as a kEventBatch. `tokens`,
-/// when non-empty, must be one dedup token per event; an all-zero token run
-/// is omitted from the wire. A single token-free event degenerates to a
-/// plain kEvent frame (byte-identical to the unbatched path). Empty input
+/// Frames a run of events sharing one schema as a kEventBatch (one event
+/// is a batch of one). `tokens`, when non-empty, must be one dedup token
+/// per event; an all-zero token run is omitted from the wire. Empty input
 /// is an error — there is no empty batch frame.
 std::vector<std::uint8_t> frame_event_batch(
     std::span<const Event> events, std::span<const std::uint64_t> tokens = {});
 /// Frames a run of (subscription key, event) deliveries as a
-/// kDeliveryBatch; a single delivery degenerates to a plain kDelivery.
+/// kDeliveryBatch.
 std::vector<std::uint8_t> frame_delivery_batch(
     std::span<const std::uint64_t> keys, std::span<const Event> events);
 
 /// Decoded frame contents.
 struct SchemaMsg {
   SchemaPtr schema;
-};
-struct EventMsg {
-  Event event;
-};
-struct ProfileMsg {
-  Profile profile;
 };
 struct SubscribeMsg {
   std::uint64_t key;
@@ -308,10 +295,6 @@ struct CompositeUnsubscribeMsg {
 struct CompositeFiringMsg {
   std::uint64_t key;
   Timestamp time;
-};
-struct DeliveryMsg {
-  std::uint64_t key;
-  Event event;
 };
 struct FlushMsg {
   std::uint64_t token;
@@ -350,12 +333,11 @@ struct DeliveryBatchMsg {
   std::vector<Event> events;
 };
 using Message =
-    std::variant<SchemaMsg, EventMsg, ProfileMsg, SubscribeMsg, UnsubscribeMsg,
+    std::variant<SchemaMsg, SubscribeMsg, UnsubscribeMsg,
                  CompositeSubscribeMsg, CompositeUnsubscribeMsg,
-                 CompositeFiringMsg, DeliveryMsg, FlushMsg, FlushDoneMsg,
-                 LinkFrameMsg, LinkAckMsg, HelloMsg, HelloAckMsg,
-                 StatsRequestMsg, StatsSnapshotMsg, EventBatchMsg,
-                 DeliveryBatchMsg>;
+                 CompositeFiringMsg, FlushMsg, FlushDoneMsg, LinkFrameMsg,
+                 LinkAckMsg, HelloMsg, HelloAckMsg, StatsRequestMsg,
+                 StatsSnapshotMsg, EventBatchMsg, DeliveryBatchMsg>;
 
 /// Frame type without decoding the payload; throws Error{kParse} on a
 /// malformed header.

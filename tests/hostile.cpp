@@ -1,4 +1,4 @@
-#include "sim/hostile.hpp"
+#include "hostile.hpp"
 
 #include <algorithm>
 #include <iterator>

@@ -1,8 +1,7 @@
 // Tests for batched delivery streaming (kDeliveryBatch): the BrokerServer
 // stages per-notification writes and flushes one frame per publish drain,
 // the RemoteBrokerClient dispatches batch frames per subscription, and
-// delivery_batch_max = 1 reproduces the legacy one-frame-per-delivery
-// traffic.
+// delivery_batch_max = 1 sends one delivery per frame.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -42,7 +41,7 @@ std::int64_t frames_written(const BrokerServer& server) {
 TEST(DeliveryBatching, OnePublishDrainYieldsOneFrame) {
   // Ten overlapping subscriptions match the same event: all ten deliveries
   // ride one kDeliveryBatch frame, flushed by the broker's drain hook at
-  // the end of the publish — not ten kDelivery frames.
+  // the end of the publish — not ten single-delivery frames.
   const SchemaPtr schema = testutil::example1_schema();
   Broker broker(schema);
   BrokerServer server(broker);
@@ -79,7 +78,7 @@ TEST(DeliveryBatching, OnePublishDrainYieldsOneFrame) {
   EXPECT_EQ(server.first_error(), "");
 }
 
-TEST(DeliveryBatching, CapOfOneKeepsLegacyPerDeliveryFrames) {
+TEST(DeliveryBatching, CapOfOneSendsOneDeliveryPerFrame) {
   const SchemaPtr schema = testutil::example1_schema();
   Broker broker(schema);
   ServerOptions options;

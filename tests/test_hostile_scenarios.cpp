@@ -36,7 +36,7 @@
 #include "net/fault.hpp"
 #include "net/remote_client.hpp"
 #include "profile/parser.hpp"
-#include "sim/hostile.hpp"
+#include "hostile.hpp"
 
 namespace genas {
 namespace {

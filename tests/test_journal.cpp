@@ -264,5 +264,64 @@ TEST_F(JournalTest, ReopeningAnEmptyJournalIsCleanAndWritable) {
   EXPECT_EQ(state.subscriptions.size(), 2u);
 }
 
+// A journal recorded at wire version 1 before type codes 2, 3 and 9 were
+// retired: schema, subscribe(1, temperature >= 35), subscribe(2, humidity
+// >= 90), composite-subscribe(10, seq({temperature >= 35}, {humidity >= 90},
+// w=10)), unsubscribe(2). A change to the frame header, the wire version or these
+// payloads would make open() truncate persisted state; this pins the bytes.
+TEST_F(JournalTest, PinnedJournalBytesStillLoad) {
+  const std::vector<std::uint8_t> pinned = {
+    0x91, 0x2f, 0x6a, 0xd2, 0x57, 0x47, 0x01, 0x01, 0x5f, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0x0b, 0x00, 0x00, 0x00, 0x74, 0x65, 0x6d, 0x70,
+    0x65, 0x72, 0x61, 0x74, 0x75, 0x72, 0x65, 0x00, 0xe2, 0xff, 0xff, 0xff,
+    0xff, 0xff, 0xff, 0xff, 0x32, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x08, 0x00, 0x00, 0x00, 0x68, 0x75, 0x6d, 0x69, 0x64, 0x69, 0x74, 0x79,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x64, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x72, 0x61, 0x64,
+    0x69, 0x61, 0x74, 0x69, 0x6f, 0x6e, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x64, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x76,
+    0x5d, 0xaa, 0xa3, 0x57, 0x47, 0x01, 0x04, 0x25, 0x00, 0x00, 0x00, 0x01,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x05, 0x01, 0x00, 0x00, 0x00, 0x41, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x50, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0xbc, 0xba, 0x3b, 0xe1, 0x57, 0x47, 0x01, 0x04, 0x25, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x05, 0x01, 0x00, 0x00, 0x00, 0x5a, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x64, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x56, 0x0e, 0x19, 0x6e, 0x57, 0x47, 0x01, 0x06, 0x4d, 0x00, 0x00,
+    0x00, 0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x0a, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x05, 0x01, 0x00, 0x00, 0x00, 0x41, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x50, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x05, 0x01, 0x00,
+    0x00, 0x00, 0x5a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x64, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc5, 0x2c, 0xe8, 0x4c, 0x57, 0x47,
+    0x01, 0x05, 0x08, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00};
+  write_file(pinned);
+
+  SubscriptionJournal journal;
+  SubscriptionJournal::LoadStats stats;
+  const SubscriptionJournal::State& state = journal.open(path_, &stats);
+
+  EXPECT_EQ(stats.records, 5u);
+  EXPECT_EQ(stats.bytes_dropped, 0u);
+  EXPECT_EQ(journal.size_bytes(), pinned.size());
+  EXPECT_EQ(file_bytes(), pinned);
+
+  ASSERT_NE(state.schema, nullptr);
+  EXPECT_EQ(state.schema->to_string(), schema_->to_string());
+  ASSERT_EQ(state.subscriptions.size(), 1u);
+  ASSERT_TRUE(state.subscriptions.count(1));
+  EXPECT_EQ(state.subscriptions.at(1).to_string(),
+            parse_profile(state.schema, "temperature >= 35").to_string());
+  ASSERT_EQ(state.composites.size(), 1u);
+  ASSERT_TRUE(state.composites.count(10));
+  EXPECT_EQ(state.composites.at(10)->to_string(),
+            parse_composite(state.schema,
+                            "seq({temperature >= 35}, {humidity >= 90}, w=10)")
+                ->to_string());
+}
+
 }  // namespace
 }  // namespace genas

@@ -1,7 +1,7 @@
 // Tests for batched link frames in the mesh runtime: publish_batch
 // ingress, per-link coalescing metrics, outbox backpressure under a
-// stalled peer, exact-cap legacy mode, and batched frames riding reliable
-// links under injected faults.
+// stalled peer, one event per frame at cap 1, and batched frames riding
+// reliable links under injected faults.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -136,7 +136,7 @@ TEST(MeshBatching, CoalescingSurfacesInTheStatsSnapshot) {
   mesh.shutdown();
 }
 
-TEST(MeshBatching, CapOfOneKeepsLegacyPerEventFrames) {
+TEST(MeshBatching, CapOfOneSendsOneEventPerFrame) {
   const SchemaPtr schema = testutil::example1_schema();
   MeshOptions options;
   options.link_batch_max = 1;

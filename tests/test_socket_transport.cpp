@@ -14,6 +14,8 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,11 +64,12 @@ TEST(SocketChannel, FramesSurviveArbitrarySplitsAndCoalescing) {
   std::optional<SocketChannel> server = listener.accept(5000ms);
   ASSERT_TRUE(server.has_value());
 
+  const Event event = Event::from_pairs(
+      schema, {{"temperature", 40}, {"humidity", 9}, {"radiation", 1}});
   const std::vector<std::vector<std::uint8_t>> frames = {
       wire::frame_schema(*schema),
       wire::frame_subscribe(1, parse_profile(schema, "temperature >= 35")),
-      wire::frame_event(Event::from_pairs(
-          schema, {{"temperature", 40}, {"humidity", 9}, {"radiation", 1}})),
+      wire::frame_event_batch({&event, 1}),
       wire::frame_flush(7),
   };
 
@@ -313,17 +316,49 @@ TEST(BrokerServerSocket, CorruptClientIsRecordedAndServerStaysUp) {
   BrokerServer server(broker);
   server.start();
 
-  {
+  // A healthy client stays connected through every bad one.
+  RemoteBrokerClient healthy("127.0.0.1", server.port());
+  healthy.subscribe("temperature >= 35", [](const Notification&) {});
+  healthy.flush();
+
+  // A retired single-event frame (type 2: attribute count, indices, time)
+  // — a reserved code now, so the stream is corrupt — then plain garbage.
+  wire::Writer retired;
+  retired.u16(wire::kMagic);
+  retired.u8(wire::kWireVersion);
+  retired.u8(2);
+  retired.u32(4 + 3 * 8 + 8);
+  retired.u32(3);
+  for (int a = 0; a < 3; ++a) retired.u64(0);
+  retired.i64(1);
+  const std::vector<std::vector<std::uint8_t>> inputs = {
+      retired.take(), std::vector<std::uint8_t>(32, 0xAB)};
+
+  const auto parse_errors = [&] {
+    return server.metrics().snapshot().value(
+        "genas_server_errors_total{category=\"parse\"}");
+  };
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
     SocketChannel raw = SocketChannel::connect_to("127.0.0.1", server.port());
     ASSERT_TRUE(raw.read_frame().has_value());  // handshake
-    const std::vector<std::uint8_t> garbage(32, 0xAB);
-    raw.write_bytes(garbage);
-    // Server must notice the corrupt stream and drop us.
-    ASSERT_TRUE(eventually([&] { return server.active_connections() == 0; }));
+    raw.write_bytes(inputs[i]);
+    // Server must notice the corrupt stream and drop this client only.
+    ASSERT_TRUE(eventually([&] {
+      return parse_errors() == static_cast<std::int64_t>(i + 1) &&
+             server.active_connections() == 1;
+    })) << "input " << i;
   }
-  EXPECT_NE(server.first_error(), "");
+  EXPECT_NE(server.first_error().find("unknown message type"),
+            std::string::npos)
+      << server.first_error();
 
-  // ...but the listener survives: a fresh, well-behaved client still works.
+  // The healthy client keeps its deliveries...
+  healthy.publish("temperature = 40; humidity = 50; radiation = 1", 1);
+  healthy.flush();
+  EXPECT_EQ(healthy.deliveries(), 1u);
+  healthy.close();
+
+  // ...and the listener survives: a fresh, well-behaved client still works.
   RemoteBrokerClient client("127.0.0.1", server.port());
   client.subscribe("temperature >= 35", [](const Notification&) {});
   client.publish("temperature = 40; humidity = 50; radiation = 1", 1);
@@ -352,6 +387,46 @@ TEST(BrokerServerSocket, ReusingALiveKeyIsAProtocolError) {
   ASSERT_TRUE(eventually([&] { return server.active_connections() == 0; }));
   EXPECT_NE(server.first_error(), "");
   EXPECT_EQ(broker.subscription_count(), 0u);
+
+  server.stop();
+}
+
+TEST(BrokerServerSocket, SequencedEnvelopeMustCarryExactlyOneEvent) {
+  // One sequence maps to one dedup token, so a kLinkFrame publish carries a
+  // batch of exactly one event; a two-event batch is a protocol error.
+  const SchemaPtr schema = testutil::example1_schema();
+  Broker broker(schema);
+  BrokerServer server(broker);
+  server.start();
+
+  SocketChannel raw = SocketChannel::connect_to("127.0.0.1", server.port());
+  ASSERT_TRUE(raw.read_frame().has_value());  // schema handshake
+  raw.write_frame(wire::frame_hello(0));
+  const std::optional<std::vector<std::uint8_t>> ack = raw.read_frame();
+  ASSERT_TRUE(ack.has_value());
+  ASSERT_EQ(wire::peek_type(*ack), wire::MessageType::kHelloAck);
+
+  const std::vector<Event> events = {
+      Event::from_pairs(schema, {{"temperature", 40}, {"humidity", 1},
+                                 {"radiation", 1}}, 1),
+      Event::from_pairs(schema, {{"temperature", 41}, {"humidity", 2},
+                                 {"radiation", 2}}, 2)};
+  raw.write_frame(wire::frame_link(
+      1, wire::frame_event_batch(std::span(events.data(), 1))));
+  raw.write_frame(wire::frame_flush(5));
+  const std::optional<std::vector<std::uint8_t>> done = raw.read_frame();
+  ASSERT_TRUE(done.has_value());
+  ASSERT_EQ(wire::peek_type(*done), wire::MessageType::kFlushDone);
+  EXPECT_EQ(broker.counters().events_published, 1u);
+
+  raw.write_frame(wire::frame_link(2, wire::frame_event_batch(events)));
+  ASSERT_TRUE(eventually([&] { return server.active_connections() == 0; }));
+  EXPECT_EQ(server.metrics().snapshot().value(
+                "genas_server_errors_total{category=\"protocol\"}"),
+            1);
+  EXPECT_NE(server.first_error().find("exactly one event"), std::string::npos)
+      << server.first_error();
+  EXPECT_EQ(broker.counters().events_published, 1u);
 
   server.stop();
 }

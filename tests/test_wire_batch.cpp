@@ -1,6 +1,6 @@
 // Tests for the batched link frames (wire/batch): encode/decode oracles for
 // kEventBatch / kDeliveryBatch, the arena-backed zero-allocation decoder,
-// single-element degeneration to the legacy frames, and the malformed-input
+// count-1 batches (the only single-event framing), and the malformed-input
 // paths — truncation sweeps, byte flips, count inflation, and corrupt
 // batches nested inside kLinkFrame envelopes — mirroring test_wire_codec.
 #include <gtest/gtest.h>
@@ -133,36 +133,58 @@ TEST(WireBatch, AllZeroTokensElideTheTokenRun) {
             wire::frame_event_batch(events));
 }
 
-TEST(WireBatch, SingleEventDegeneratesToTheLegacyFrame) {
-  // A batch of one token-free event must be byte-identical to frame_event:
-  // link_batch_max = 1 then reproduces the pre-batching wire traffic
-  // exactly, and old decoders keep understanding light traffic.
+TEST(WireBatch, SingleEventIsACountOneBatch) {
+  // One event travels as a kEventBatch of one — with or without a dedup
+  // token — and both decoders return it intact.
   const SchemaPtr schema = testutil::example1_schema();
   const Event event = make_event(schema, 21, 99);
+  wire::EventArena arena;
 
-  wire::EventBatchBuilder builder;
-  builder.append(event);
-  EXPECT_EQ(builder.take_frame(), wire::frame_event(event));
+  for (const std::uint64_t token : {std::uint64_t{0}, std::uint64_t{17}}) {
+    wire::EventBatchBuilder builder;
+    builder.append(event, token);
+    const Frame frame = builder.take_frame();
+    EXPECT_EQ(wire::peek_type(frame), wire::MessageType::kEventBatch);
+    EXPECT_EQ(frame, wire::frame_event_batch({&event, 1}, {&token, 1}));
 
-  // With a nonzero token there is no legacy equivalent; the builder must
-  // emit a kEventBatch that round-trips the token.
-  builder.append(event, 17);
-  const Frame tagged = builder.take_frame();
-  EXPECT_EQ(wire::peek_type(tagged), wire::MessageType::kEventBatch);
-  const wire::Message message = wire::decode_message(tagged, schema);
-  const auto* batch = std::get_if<wire::EventBatchMsg>(&message);
-  ASSERT_NE(batch, nullptr);
-  ASSERT_EQ(batch->tokens.size(), 1u);
-  EXPECT_EQ(batch->tokens[0], 17u);
+    const wire::Message message = wire::decode_message(frame, schema);
+    const auto* batch = std::get_if<wire::EventBatchMsg>(&message);
+    ASSERT_NE(batch, nullptr);
+    ASSERT_EQ(batch->events.size(), 1u);
+    EXPECT_EQ(batch->events[0].indices(), event.indices());
+    EXPECT_EQ(batch->events[0].time(), event.time());
+    if (token == 0) {
+      EXPECT_TRUE(batch->tokens.empty());
+    } else {
+      ASSERT_EQ(batch->tokens.size(), 1u);
+      EXPECT_EQ(batch->tokens[0], token);
+    }
+
+    std::vector<Event> events;
+    std::vector<std::uint64_t> tokens;
+    ASSERT_EQ(wire::decode_event_batch(frame, schema, arena, events, tokens),
+              1u);
+    EXPECT_EQ(events[0].indices(), event.indices());
+    EXPECT_EQ(tokens[0], token);
+  }
 }
 
-TEST(WireBatch, SingleDeliveryDegeneratesToTheLegacyFrame) {
+TEST(WireBatch, SingleDeliveryIsACountOneBatch) {
   const SchemaPtr schema = testutil::example1_schema();
   const Event event = make_event(schema, -3, 5);
 
   wire::DeliveryBatchBuilder builder;
   builder.append(11, event);
-  EXPECT_EQ(builder.take_frame(), wire::frame_delivery(11, event));
+  const Frame frame = builder.take_frame();
+  EXPECT_EQ(wire::peek_type(frame), wire::MessageType::kDeliveryBatch);
+
+  const wire::Message message = wire::decode_message(frame, schema);
+  const auto* batch = std::get_if<wire::DeliveryBatchMsg>(&message);
+  ASSERT_NE(batch, nullptr);
+  ASSERT_EQ(batch->keys.size(), 1u);
+  EXPECT_EQ(batch->keys[0], 11u);
+  EXPECT_EQ(batch->events[0].indices(), event.indices());
+  EXPECT_EQ(batch->events[0].time(), event.time());
 }
 
 TEST(WireBatch, BuilderResetDiscardsThePendingFrame) {
@@ -177,7 +199,7 @@ TEST(WireBatch, BuilderResetDiscardsThePendingFrame) {
 
   // The builder is reusable after a reset, with no leftover tokens.
   builder.append(event);
-  EXPECT_EQ(builder.take_frame(), wire::frame_event(event));
+  EXPECT_EQ(builder.take_frame(), wire::frame_event_batch({&event, 1}));
 }
 
 TEST(WireBatch, DeliveryBatchRoundTrips) {
@@ -241,29 +263,35 @@ TEST(WireBatch, WarmArenaDecodesWithZeroAllocations) {
   // The acceptance bar for the decoder: once the arena holds recycled
   // index storage and the scratch vectors have capacity, decoding a batch
   // performs zero heap allocations — no per-event vector, no per-event
-  // Event box, nothing.
+  // Event box, nothing. A batch of one (a socket client's publish) meets
+  // the same bar as a full link batch.
   const SchemaPtr schema = testutil::example1_schema();
   constexpr std::size_t kBatch = 64;
-  const Frame frame = wire::frame_event_batch(make_events(schema, kBatch));
+  const std::vector<Event> pool = make_events(schema, kBatch);
+  for (const std::size_t count : {kBatch, std::size_t{1}}) {
+    const Frame frame =
+        wire::frame_event_batch(std::span(pool.data(), count));
 
-  wire::EventArena arena;
-  std::vector<Event> events;
-  std::vector<std::uint64_t> tokens;
-  events.reserve(kBatch);
-  tokens.reserve(kBatch);
+    wire::EventArena arena;
+    std::vector<Event> events;
+    std::vector<std::uint64_t> tokens;
+    events.reserve(count);
+    tokens.reserve(count);
 
-  // Warm-up pass seeds the arena's free-list.
-  wire::decode_event_batch(frame, schema, arena, events, tokens);
-  arena.recycle_all(events);
-  tokens.clear();
+    // Warm-up pass seeds the arena's free-list.
+    wire::decode_event_batch(frame, schema, arena, events, tokens);
+    arena.recycle_all(events);
+    tokens.clear();
 
-  const std::uint64_t before = g_allocations.load();
-  wire::decode_event_batch(frame, schema, arena, events, tokens);
-  const std::uint64_t after = g_allocations.load();
-  EXPECT_EQ(after - before, 0u)
-      << "warm batch decode allocated " << (after - before) << " times";
-  ASSERT_EQ(events.size(), kBatch);
-  arena.recycle_all(events);
+    const std::uint64_t before = g_allocations.load();
+    wire::decode_event_batch(frame, schema, arena, events, tokens);
+    const std::uint64_t after = g_allocations.load();
+    EXPECT_EQ(after - before, 0u)
+        << "warm decode of " << count << " event(s) allocated "
+        << (after - before) << " times";
+    ASSERT_EQ(events.size(), count);
+    arena.recycle_all(events);
+  }
 }
 
 TEST(WireBatch, EveryTruncationIsRejected) {

@@ -23,6 +23,10 @@ namespace {
 
 using Frame = std::vector<std::uint8_t>;
 
+/// Type codes of the retired single-event, bare-profile and single-delivery
+/// frames; reserved, so every decoder must refuse them.
+constexpr std::uint8_t kRetiredTypes[] = {2, 3, 9};
+
 /// Decode must reject the buffer with Error{kParse} specifically.
 void expect_parse_failure(const Frame& frame, const SchemaPtr& schema,
                           const std::string& context) {
@@ -89,21 +93,23 @@ TEST(WireCodec, RandomizedProfileAndEventRoundTrips) {
     for (const ProfileId id : profiles.active_ids()) {
       const Profile& original = profiles.profile(id);
       const wire::Message decoded =
-          wire::decode_message(wire::frame_profile(original), schema);
-      ASSERT_TRUE(std::holds_alternative<wire::ProfileMsg>(decoded));
+          wire::decode_message(wire::frame_subscribe(id, original), schema);
+      ASSERT_TRUE(std::holds_alternative<wire::SubscribeMsg>(decoded));
       expect_same_profile(original,
-                          std::get<wire::ProfileMsg>(decoded).profile);
+                          std::get<wire::SubscribeMsg>(decoded).profile);
     }
 
     for (int e = 0; e < 50; ++e) {
       const Event original = random_event(schema, rng);
-      const Frame frame = wire::frame_event(original);
-      EXPECT_EQ(wire::peek_type(frame), wire::MessageType::kEvent);
+      const Frame frame = wire::frame_event_batch({&original, 1});
+      EXPECT_EQ(wire::peek_type(frame), wire::MessageType::kEventBatch);
       const wire::Message decoded = wire::decode_message(frame, schema);
-      ASSERT_TRUE(std::holds_alternative<wire::EventMsg>(decoded));
-      const Event& roundtrip = std::get<wire::EventMsg>(decoded).event;
-      EXPECT_EQ(original.indices(), roundtrip.indices());
-      EXPECT_EQ(original.time(), roundtrip.time());
+      ASSERT_TRUE(std::holds_alternative<wire::EventBatchMsg>(decoded));
+      const auto& batch = std::get<wire::EventBatchMsg>(decoded);
+      ASSERT_EQ(batch.events.size(), 1u);
+      EXPECT_TRUE(batch.tokens.empty());
+      EXPECT_EQ(original.indices(), batch.events[0].indices());
+      EXPECT_EQ(original.time(), batch.events[0].time());
     }
   }
 }
@@ -187,17 +193,19 @@ TEST(WireCodec, SubscribeAndUnsubscribeCarryKeys) {
 
 TEST(WireCodec, EveryTruncationIsRejected) {
   const SchemaPtr schema = testutil::example1_schema();
+  const Event event = Event::from_pairs(
+      schema, {{"temperature", 20}, {"humidity", 50}, {"radiation", 3}});
+  const Event delivered = Event::from_pairs(
+      schema, {{"temperature", -5}, {"humidity", 40}, {"radiation", 9}});
+  const std::uint64_t token = 0xABCDULL;
+  const std::uint64_t key = 11;
   const std::vector<Frame> frames = {
       wire::frame_schema(*schema),
-      wire::frame_event(Event::from_pairs(schema, {{"temperature", 20},
-                                                   {"humidity", 50},
-                                                   {"radiation", 3}})),
-      wire::frame_profile(parse_profile(schema, "temperature >= 35")),
+      wire::frame_event_batch({&event, 1}),
+      wire::frame_event_batch({&event, 1}, {&token, 1}),
       wire::frame_subscribe(7, parse_profile(schema, "humidity <= 5")),
       wire::frame_unsubscribe(7),
-      wire::frame_delivery(11, Event::from_pairs(schema, {{"temperature", -5},
-                                                          {"humidity", 40},
-                                                          {"radiation", 9}})),
+      wire::frame_delivery_batch({&key, 1}, {&delivered, 1}),
       wire::frame_flush(3),
       wire::frame_flush_done(3),
       wire::frame_link(17, wire::frame_unsubscribe(7)),
@@ -235,6 +243,16 @@ TEST(WireCodec, CorruptHeadersAreRejected) {
   bad_type[3] = 99;
   expect_parse_failure(bad_type, schema, "unknown type");
 
+  // Reserved codes of the retired single-event, bare-profile and
+  // single-delivery frames are unknown types, not legacy payloads.
+  for (const std::uint8_t reserved : kRetiredTypes) {
+    Frame retired = good;
+    retired[3] = reserved;
+    expect_parse_failure(retired, schema,
+                         "reserved type " + std::to_string(reserved));
+    EXPECT_THROW(wire::peek_type(retired), Error);
+  }
+
   Frame bad_length = good;
   bad_length[4] ^= 0x01;  // length field no longer matches the buffer
   expect_parse_failure(bad_length, schema, "length mismatch");
@@ -247,14 +265,15 @@ TEST(WireCodec, StreamingFramesRoundTrip) {
   const Event event = Event::from_pairs(
       schema, {{"temperature", 42}, {"humidity", 91}, {"radiation", 8}}, 17);
 
-  const wire::Message delivery =
-      wire::decode_message(wire::frame_delivery(0xDEADBEEFCAFEULL, event),
-                           schema);
-  ASSERT_TRUE(std::holds_alternative<wire::DeliveryMsg>(delivery));
-  EXPECT_EQ(std::get<wire::DeliveryMsg>(delivery).key, 0xDEADBEEFCAFEULL);
-  EXPECT_EQ(std::get<wire::DeliveryMsg>(delivery).event.indices(),
-            event.indices());
-  EXPECT_EQ(std::get<wire::DeliveryMsg>(delivery).event.time(), event.time());
+  const std::uint64_t key = 0xDEADBEEFCAFEULL;
+  const wire::Message delivery = wire::decode_message(
+      wire::frame_delivery_batch({&key, 1}, {&event, 1}), schema);
+  ASSERT_TRUE(std::holds_alternative<wire::DeliveryBatchMsg>(delivery));
+  const auto& batch = std::get<wire::DeliveryBatchMsg>(delivery);
+  ASSERT_EQ(batch.keys.size(), 1u);
+  EXPECT_EQ(batch.keys[0], key);
+  EXPECT_EQ(batch.events[0].indices(), event.indices());
+  EXPECT_EQ(batch.events[0].time(), event.time());
 
   const wire::Message flush =
       wire::decode_message(wire::frame_flush(0xFFFFFFFFFFFFFFFFULL), schema);
@@ -274,16 +293,17 @@ TEST(WireCodec, StreamingFramesRoundTrip) {
 // visible.
 TEST(WireCodec, ProbeReportsNeedMoreForEveryPrefixOfValidFrames) {
   const SchemaPtr schema = testutil::example1_schema();
+  const Event event = Event::from_pairs(
+      schema, {{"temperature", 20}, {"humidity", 50}, {"radiation", 3}});
+  const Event delivered = Event::from_pairs(
+      schema, {{"temperature", 0}, {"humidity", 0}, {"radiation", 1}});
+  const std::uint64_t key = 9;
   const std::vector<Frame> frames = {
       wire::frame_schema(*schema),
-      wire::frame_event(Event::from_pairs(schema, {{"temperature", 20},
-                                                   {"humidity", 50},
-                                                   {"radiation", 3}})),
+      wire::frame_event_batch({&event, 1}),
       wire::frame_subscribe(7, parse_profile(schema, "humidity <= 5")),
       wire::frame_unsubscribe(7),
-      wire::frame_delivery(9, Event::from_pairs(schema, {{"temperature", 0},
-                                                         {"humidity", 0},
-                                                         {"radiation", 1}})),
+      wire::frame_delivery_batch({&key, 1}, {&delivered, 1}),
       wire::frame_flush(1),
       wire::frame_flush_done(1),
       wire::frame_link(9, wire::frame_flush(1)),
@@ -336,6 +356,18 @@ TEST(WireCodec, ProbeFlagsCorruptHeadersAsSoonAsVisible) {
   EXPECT_EQ(wire::probe_frame(std::span(bad_type.data(), 4)).status,
             wire::FrameStatus::kCorrupt);
 
+  // Reserved codes (the retired single-event, bare-profile and
+  // single-delivery frames) are corrupt from the type byte on.
+  for (const std::uint8_t reserved : kRetiredTypes) {
+    Frame retired = good;
+    retired[3] = reserved;
+    for (std::size_t cut = 4; cut <= retired.size(); ++cut) {
+      EXPECT_EQ(wire::probe_frame(std::span(retired.data(), cut)).status,
+                wire::FrameStatus::kCorrupt)
+          << "reserved type " << int{reserved} << " cut " << cut;
+    }
+  }
+
   // A length field above the cap is corruption, not a 4 GiB allocation.
   Frame huge = good;
   huge[4] = 0xFF;
@@ -356,25 +388,24 @@ TEST(WireCodec, OutOfDomainPayloadsAreRejected) {
                              .add_integer("radiation", 1, 100)
                              .add_integer("extra", 0, 9)
                              .build();
-  expect_parse_failure(
-      wire::frame_event(Event::from_pairs(wide, {{"temperature", 199},
-                                                 {"humidity", 0},
-                                                 {"radiation", 1},
-                                                 {"extra", 0}})),
-      schema, "event attribute count mismatch");
+  const Event wide_event = Event::from_pairs(
+      wide,
+      {{"temperature", 199}, {"humidity", 0}, {"radiation", 1}, {"extra", 0}});
+  expect_parse_failure(wire::frame_event_batch({&wide_event, 1}), schema,
+                       "event attribute count mismatch");
 
   const SchemaPtr three_wide = SchemaBuilder()
                                    .add_integer("temperature", -30, 200)
                                    .add_integer("humidity", 0, 100)
                                    .add_integer("radiation", 1, 100)
                                    .build();
+  const Event hot_event = Event::from_pairs(
+      three_wide, {{"temperature", 199}, {"humidity", 0}, {"radiation", 1}});
+  expect_parse_failure(wire::frame_event_batch({&hot_event, 1}), schema,
+                       "event index outside domain");
   expect_parse_failure(
-      wire::frame_event(Event::from_pairs(three_wide, {{"temperature", 199},
-                                                       {"humidity", 0},
-                                                       {"radiation", 1}})),
-      schema, "event index outside domain");
-  expect_parse_failure(
-      wire::frame_profile(parse_profile(three_wide, "temperature >= 150")),
+      wire::frame_subscribe(
+          1, parse_profile(three_wide, "temperature >= 150")),
       schema, "profile interval outside domain");
 }
 
@@ -382,11 +413,11 @@ TEST(WireCodec, ByteFlipFuzzNeverCrashes) {
   // Flipping any single byte must either still decode (payload bytes can
   // land on another valid value) or throw Error{kParse} — nothing else.
   const SchemaPtr schema = testutil::example1_schema();
+  const Event event = Event::from_pairs(
+      schema, {{"temperature", 0}, {"humidity", 1}, {"radiation", 2}});
   const std::vector<Frame> frames = {
       wire::frame_schema(*schema),
-      wire::frame_event(Event::from_pairs(schema, {{"temperature", 0},
-                                                   {"humidity", 1},
-                                                   {"radiation", 2}})),
+      wire::frame_event_batch({&event, 1}),
       wire::frame_subscribe(
           3, parse_profile(schema, "temperature >= 35 && radiation <= 60")),
   };
@@ -412,7 +443,7 @@ TEST(WireCodec, ReliabilityFramesRoundTrip) {
 
   // Link envelope: the nested frame comes back still encoded (dedup before
   // decode), and decoding the inner bytes yields the original message.
-  const Frame inner = wire::frame_event(event);
+  const Frame inner = wire::frame_event_batch({&event, 1});
   const wire::Message link = wire::decode_message(
       wire::frame_link(0x0123456789ABCDEFULL, inner), schema);
   ASSERT_TRUE(std::holds_alternative<wire::LinkFrameMsg>(link));
@@ -420,8 +451,9 @@ TEST(WireCodec, ReliabilityFramesRoundTrip) {
   EXPECT_EQ(env.sequence, 0x0123456789ABCDEFULL);
   EXPECT_EQ(env.inner, inner);
   const wire::Message nested = wire::decode_message(env.inner, schema);
-  ASSERT_TRUE(std::holds_alternative<wire::EventMsg>(nested));
-  EXPECT_EQ(std::get<wire::EventMsg>(nested).event.indices(),
+  ASSERT_TRUE(std::holds_alternative<wire::EventBatchMsg>(nested));
+  ASSERT_EQ(std::get<wire::EventBatchMsg>(nested).events.size(), 1u);
+  EXPECT_EQ(std::get<wire::EventBatchMsg>(nested).events[0].indices(),
             event.indices());
 
   const wire::Message ack =
@@ -474,11 +506,10 @@ TEST(WireCodec, LinkEnvelopeRejectsCorruptInnerFrames) {
 
 TEST(WireCodec, ReliabilityFrameByteFlipFuzzNeverCrashes) {
   const SchemaPtr schema = testutil::example1_schema();
+  const Event event = Event::from_pairs(
+      schema, {{"temperature", 0}, {"humidity", 1}, {"radiation", 2}});
   const std::vector<Frame> frames = {
-      wire::frame_link(42, wire::frame_event(Event::from_pairs(
-                               schema, {{"temperature", 0},
-                                        {"humidity", 1},
-                                        {"radiation", 2}}))),
+      wire::frame_link(42, wire::frame_event_batch({&event, 1})),
       wire::frame_link_ack(42),
       wire::frame_hello(42),
       wire::frame_hello_ack(true, 42, 7),
@@ -642,9 +673,9 @@ TEST(WireCodec, InflatedCountsAreRejectedBeforeAllocation) {
   wire::Writer w;
   w.u16(wire::kMagic);
   w.u8(wire::kWireVersion);
-  w.u8(static_cast<std::uint8_t>(wire::MessageType::kEvent));
+  w.u8(static_cast<std::uint8_t>(wire::MessageType::kEventBatch));
   w.u32(4);            // payload: exactly the count field below
-  w.u32(0x40000000u);  // claims a billion attributes
+  w.u32(0x40000000u);  // claims a billion events
   expect_parse_failure(w.take(), schema, "inflated count");
 }
 
